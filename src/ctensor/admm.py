@@ -6,6 +6,10 @@ a linear objective on the sphere (the quadratic penalty term is constant
 there), so it has the closed-form solution -b/||b||.  Multi-start from random
 unit vectors recovers the global sphere minimum of A x^m with high
 probability on small instances.
+
+All restarts iterate together on an (R, m, n) block array: every block update
+is one contraction over the restart axis, and a restart leaves the batch as
+soon as it meets the stopping rule.  A single solve is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, apply_full, materialize, symmetrize
+from .core import Tensor, materialize, symmetrize
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class AdmmParams:
             raise ValueError("beta must be positive")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.escalations < 1:
             raise ValueError("escalations must be >= 1")
 
@@ -58,6 +64,7 @@ class AdmmResult:
 class MultiStartReport:
     best: AdmmResult
     values: np.ndarray
+    results: list[AdmmResult]  # one per restart, in restart order
     iterations_mean: float
     time_mean_s: float
     success_rate: float | None = None
@@ -79,33 +86,122 @@ def block_gradient(a: Tensor | np.ndarray, state: AdmmState | np.ndarray, j: int
     blocks = state.blocks if isinstance(state, AdmmState) else np.asarray(state)
     if not 1 <= j <= arr.ndim:
         raise ValueError(f"block index {j} out of range [1, {arr.ndim}]")
-    return _grad(arr, blocks, j - 1)
+    others = [blocks[None, k] for k in range(arr.ndim) if k != j - 1]
+    return _grad(_unfold(arr, j - 1), others)[0]
 
 
-def _grad(arr: np.ndarray, blocks: np.ndarray, j0: int) -> np.ndarray:
-    out = arr
-    for axis in range(arr.ndim - 1, -1, -1):
-        if axis == j0:
-            continue
-        out = np.tensordot(out, blocks[axis], axes=([axis], [0]))
+def _unfold(arr: np.ndarray, j0: int) -> np.ndarray:
+    """``arr`` with axis j0 moved last, flattened to an (n, n^(m-1)) matrix."""
+    return np.moveaxis(arr, j0, -1).reshape(arr.shape[0], -1)
+
+
+def _grad(unfolded: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading m-1 axes of an unfolded tensor with one batch of
+    vectors each: a matmul chain over the restart axis, (R, n) -> (R, n)."""
+    num, n = vecs[0].shape
+    out = vecs[0] @ unfolded
+    for v in vecs[1:]:
+        out = (v[:, None, :] @ out.reshape(num, n, -1))[:, 0]
     return out
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, kept as a length-1 axis."""
+    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+
 def subproblem(b: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """argmin of b^T x over the unit sphere: -b/||b||, or prev when b ~ 0."""
-    norm = np.linalg.norm(b)
-    if norm <= 1e-14:
-        return prev
-    return -b / norm
+    """argmin of b^T x over the unit sphere: -b/||b||, or prev when b ~ 0.
+
+    Works row by row on a stack of vectors (norms over the last axis).
+    """
+    norm = _norms(b)
+    small = norm <= 1e-14
+    return np.where(small, prev, -b / np.where(small, 1.0, norm))
 
 
-def _consensus_gap(blocks: np.ndarray) -> float:
-    m = blocks.shape[0]
-    gap = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = max(gap, float(np.linalg.norm(blocks[i] - blocks[j])))
-    return gap
+def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
+    """The block-update / multiplier-update iteration for every start at once.
+
+    Within a restart the blocks update in Gauss-Seidel order.  A restart
+    stops when its full iterate (all blocks and the multiplier) moves less
+    than epsilon; the rest rerun from their own start with the penalty
+    scaled by 4, up to ``params.escalations`` attempts.  Returns the final
+    blocks (R, m, n), the iteration counts summed over attempts and the
+    converged flags.
+    """
+    num, n = starts.shape
+    m = arr.ndim
+    unfolded = [_unfold(arr, j) for j in range(m)]
+    others = [[k for k in range(m) if k != j] for j in range(m)]
+    nxt = np.roll(np.arange(m), -1)
+    blocks = np.empty((num, m, n))
+    iterations = np.zeros(num, dtype=int)
+    converged = np.zeros(num, dtype=bool)
+    live = np.arange(num)
+    for attempt in range(params.escalations):
+        if live.size == 0:
+            break
+        beta = params.beta * 4.0**attempt
+        x = np.repeat(starts[live, None, :], m, axis=1)
+        lam = np.zeros_like(x)
+        for it in range(1, params.max_iters + 1):
+            x_old, lam_old = x.copy(), lam
+            for j in range(m):
+                g = _grad(unfolded[j], [x[:, k] for k in others[j]])
+                b = g - (lam[:, j] - lam[:, j - 1]) - beta * (x[:, j - 1] + x[:, nxt[j]])
+                xj = subproblem(b, x[:, j])
+                x[:, j] = xj / _norms(xj)  # defensive renormalization
+            lam = lam - beta * (x - x[:, nxt])
+            dx, dlam = x - x_old, lam - lam_old
+            step = np.sqrt((dx * dx).sum(axis=(1, 2)) + (dlam * dlam).sum(axis=(1, 2)))
+            done = step < params.epsilon
+            if done.any():
+                idx = live[done]
+                blocks[idx] = x[done]
+                iterations[idx] += it
+                converged[idx] = True
+                live, x, lam = live[~done], x[~done], lam[~done]
+                if live.size == 0:
+                    break
+        iterations[live] += params.max_iters
+        blocks[live] = x
+    return blocks, iterations, converged
+
+
+def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult]:
+    """One result per row of ``starts`` (R, n), in row order.
+
+    The iteration runs on the symmetrized tensor: the objective A x^m is
+    unchanged, and exchangeable blocks keep the consensus coupling stable
+    (the raw multilinear form of a one-sided tensor can cycle forever).
+    """
+    arr = materialize(symmetrize(a)).array
+    m, n = arr.ndim, arr.shape[0]
+    starts = np.asarray(starts, dtype=float)
+    if starts.shape[1:] != (n,):
+        raise ValueError(f"expected start vectors of length {n}")
+    norms = _norms(starts)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError("start vector must be finite and nonzero")
+
+    t0 = time.perf_counter()
+    blocks, iterations, converged = _iterate(arr, starts / norms, params)
+    points = blocks[:, 0]
+    values = (_grad(_unfold(arr, m - 1), [points] * (m - 1)) * points).sum(axis=1)
+    gaps = _norms(blocks[:, :, None, :] - blocks[:, None, :, :]).max(axis=(1, 2, 3))
+    time_s = (time.perf_counter() - t0) / len(starts)
+    return [
+        AdmmResult(
+            value=float(values[i]),
+            point=points[i],
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            consensus_gap=float(gaps[i]),
+            time_s=time_s,
+        )
+        for i in range(len(starts))
+    ]
 
 
 def minimize(
@@ -113,57 +209,13 @@ def minimize(
     params: AdmmParams | None = None,
     x0: np.ndarray | None = None,
 ) -> AdmmResult:
-    """Run the block-update / multiplier-update iteration until the full
-    iterate (all blocks and the multiplier) moves less than epsilon.
-
-    The iteration runs on the symmetrized tensor: the objective A x^m is
-    unchanged, and exchangeable blocks keep the consensus coupling stable
-    (the raw multilinear form of a one-sided tensor can cycle forever).
-    """
+    """Run the block-update / multiplier-update iteration from one start
+    (``x0``, or a draw seeded by ``params.seed``) until the full iterate
+    moves less than epsilon, escalating the penalty when it does not."""
     params = params or AdmmParams()
-    arr = materialize(symmetrize(a)).array
-    m, n = arr.ndim, arr.shape[0]
-
     if x0 is None:
-        rng = np.random.default_rng(params.seed)
-        x0 = rng.normal(size=n)
-    x0 = np.asarray(x0, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
-
-    t0 = time.perf_counter()
-    total_iters = 0
-    converged = False
-    x = np.tile(x0, (m, 1))
-    for attempt in range(params.escalations):
-        beta = params.beta * 4.0**attempt
-        x = np.tile(x0, (m, 1))
-        lam = np.zeros((m, n))
-        for _ in range(params.max_iters):
-            total_iters += 1
-            w_old = np.concatenate([x.reshape(-1), lam.reshape(-1)])
-            for j in range(m):
-                g = _grad(arr, x, j)
-                b = g - (lam[j] - lam[j - 1]) - beta * (x[j - 1] + x[(j + 1) % m])
-                xj = subproblem(b, x[j])
-                x[j] = xj / np.linalg.norm(xj)  # defensive renormalization
-            res = x - np.roll(x, -1, axis=0)
-            lam = lam - beta * res
-            w_new = np.concatenate([x.reshape(-1), lam.reshape(-1)])
-            if np.linalg.norm(w_new - w_old) < params.epsilon:
-                converged = True
-                break
-        if converged:
-            break
-
-    point = x[0]
-    return AdmmResult(
-        value=float(apply_full(a, point)),
-        point=point,
-        iterations=total_iters,
-        converged=converged,
-        consensus_gap=_consensus_gap(x),
-        time_s=time.perf_counter() - t0,
-    )
+        x0 = np.random.default_rng(params.seed).normal(size=a.dim)
+    return _solve(a, params, np.asarray(x0, dtype=float)[None])[0]
 
 
 def multi_start(
@@ -171,26 +223,24 @@ def multi_start(
     params: AdmmParams | None = None,
     restarts: int = 100,
     reference: float | None = None,
-    pool=None,
 ) -> MultiStartReport:
-    """Run ``restarts`` independent seeded solves and keep the best.
+    """Run ``restarts`` seeded solves together and keep the best.
 
-    Restart i draws its start from a generator seeded by (seed, i), so the
-    report is deterministic and scheduling-independent; results are reduced
-    in restart order.  When a reference optimum is given, a run counts as a
-    success if its value is within 1e-5 of it.
+    Restart i draws its start from a generator seeded by (seed, i), and its
+    result is that of ``minimize`` from that start: the same iterations and
+    convergence, the value equal up to rounding.  All restarts iterate
+    together as one batch, so every ``AdmmResult.time_s`` is the batch wall
+    time shared evenly across the restarts.  Results are reduced in restart
+    order.  When a reference optimum is given, a run counts as a success if
+    its value is within 1e-5 of it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     params = params or AdmmParams()
-
-    def run(i: int) -> AdmmResult:
-        rng = np.random.default_rng([params.seed, i])
-        x0 = rng.normal(size=a.dim)
-        return minimize(a, params, x0=x0)
-
-    mapper = pool.map if pool is not None else map
-    results = list(mapper(run, range(restarts)))
+    starts = np.stack(
+        [np.random.default_rng([params.seed, i]).normal(size=a.dim) for i in range(restarts)]
+    )
+    results = _solve(a, params, starts)
     best = min(results, key=lambda r: r.value)
     values = np.array([r.value for r in results])
     success = None
@@ -199,6 +249,7 @@ def multi_start(
     return MultiStartReport(
         best=best,
         values=values,
+        results=results,
         iterations_mean=float(np.mean([r.iterations for r in results])),
         time_mean_s=float(np.mean([r.time_s for r in results])),
         success_rate=success,

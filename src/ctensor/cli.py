@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -145,12 +143,10 @@ def cmd_psd(args) -> dict:
     }
 
 
-def cmd_minimize(args, pool=None) -> dict:
+def cmd_minimize(args) -> dict:
     a = _load_circulant(args.tensor)
     params = AdmmParams(beta=args.beta, epsilon=args.eps, seed=args.seed)
-    report = multi_start(
-        a, params, restarts=args.restarts, reference=args.reference, pool=pool
-    )
+    report = multi_start(a, params, restarts=args.restarts, reference=args.reference)
     return {
         "best_value": report.best.value,
         "point": list(report.best.point),
@@ -245,7 +241,7 @@ def _reproduce_example4() -> dict:
     return _assertions_doc(rows)
 
 
-def _reproduce_table1(restarts: int, seed: int, pool=None) -> dict:
+def _reproduce_table1(restarts: int, seed: int) -> dict:
     rows = []
     table = []
     for name in ("example5", "example6"):
@@ -256,7 +252,6 @@ def _reproduce_table1(restarts: int, seed: int, pool=None) -> dict:
             AdmmParams(beta=1.2, epsilon=1e-6, seed=seed),
             restarts=restarts,
             reference=ref,
-            pool=pool,
         )
         rows.append((f"{name}_best", abs(report.best.value - ref) <= 1e-4, report.best.value))
         rows.append((f"{name}_success", report.success_rate >= 0.9, report.success_rate))
@@ -275,7 +270,7 @@ def _reproduce_table1(restarts: int, seed: int, pool=None) -> dict:
     return doc
 
 
-def cmd_reproduce(args, pool=None) -> dict:
+def cmd_reproduce(args) -> dict:
     target = args.target
     if target == "example1":
         return _reproduce_example1()
@@ -286,7 +281,7 @@ def cmd_reproduce(args, pool=None) -> dict:
     if target == "example4":
         return _reproduce_example4()
     if target == "table1":
-        return _reproduce_table1(args.restarts, args.seed, pool=pool)
+        return _reproduce_table1(args.restarts, args.seed)
     raise ValueError(f"unknown reproduce target {target!r}")
 
 
@@ -312,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=1.2)
     s.add_argument("--eps", type=float, default=1e-6)
     s.add_argument("--reference", type=float, default=None)
-    s.add_argument("--workers", type=int, default=None)
     s.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("hypergraph", help="tensors of a rotation-closed hypergraph")
@@ -332,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--restarts", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=None)
     s.add_argument("--format", choices=("json", "csv"), default="json")
 
     return p
@@ -353,9 +346,7 @@ def dispatch(argv) -> int:
         elif args.command == "psd":
             _emit(cmd_psd(args))
         elif args.command == "minimize":
-            workers = args.workers or os.cpu_count() or 1
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                doc = cmd_minimize(args, pool=pool)
+            doc = cmd_minimize(args)
             if args.format == "csv":
                 _csv_rows(
                     [[doc["best_value"], doc["iterations_mean"], doc["time_mean_ms"], doc["success_rate"]]],
@@ -368,9 +359,7 @@ def dispatch(argv) -> int:
         elif args.command == "moments":
             _emit(cmd_moments(args))
         elif args.command == "reproduce":
-            workers = args.workers or os.cpu_count() or 1
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                doc = cmd_reproduce(args, pool=pool)
+            doc = cmd_reproduce(args)
             if args.format == "csv" and "rows" in doc:
                 keys = list(doc["rows"][0].keys())
                 _csv_rows([[r[k] for k in keys] for r in doc["rows"]], keys)

@@ -30,6 +30,8 @@ class TestParams:
             AdmmParams(beta=0.0)
         with pytest.raises(ValueError):
             AdmmParams(epsilon=-1.0)
+        with pytest.raises(ValueError):
+            AdmmParams(max_iters=0)
 
 
 class TestConsensusResidual:
@@ -142,6 +144,12 @@ class TestMinimize:
         assert np.array_equal(r1.point, r2.point)
         assert r1.iterations == r2.iterations
 
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.array([np.nan, 1.0, 0.0]), np.ones(2)])
+    def test_bad_start_rejected(self, x0):
+        a = expand(presets.by_name("example5"))
+        with pytest.raises(ValueError):
+            minimize(a, AdmmParams(seed=0), x0=x0)
+
 
 class TestMultiStart:
     def test_benchmark_c43(self):
@@ -171,15 +179,50 @@ class TestMultiStart:
         assert r1.best.value == r2.best.value
         assert np.array_equal(r1.best.point, r2.best.point)
 
-    def test_pool_matches_sequential(self):
-        from concurrent.futures import ThreadPoolExecutor
+    @staticmethod
+    def _assert_matches_one_at_a_time(a, params, restarts):
+        batch = multi_start(a, params, restarts=restarts)
+        assert len(batch.results) == restarts
+        for i, r in enumerate(batch.results):
+            x0 = np.random.default_rng([params.seed, i]).normal(size=a.dim)
+            alone = minimize(a, params, x0=x0)
+            assert r.iterations == alone.iterations
+            assert r.converged == alone.converged
+            assert r.value == pytest.approx(alone.value, abs=1e-12)
+            assert np.allclose(r.point, alone.point, atol=1e-9)
+            assert batch.values[i] == r.value
+        return batch
 
+    def test_batch_matches_one_at_a_time(self):
         a = expand(presets.by_name("example5"))
-        seq = multi_start(a, AdmmParams(seed=0), restarts=8)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            par = multi_start(a, AdmmParams(seed=0), restarts=8, pool=pool)
-        assert seq.best.value == par.best.value
-        assert np.array_equal(seq.values, par.values)
+        batch = self._assert_matches_one_at_a_time(a, AdmmParams(seed=0), 8)
+        # the batch wall time is shared evenly
+        assert len({r.time_s for r in batch.results}) == 1
+
+    @pytest.mark.parametrize("max_iters", [30, 40])
+    def test_escalation_inside_batch(self, max_iters):
+        # at 40 iterations some restarts stop at the first penalty and the
+        # others escalate; at 30 some stop at the second and the others never
+        a = expand(presets.by_name("example5"))
+        params = AdmmParams(seed=0, max_iters=max_iters, escalations=3)
+        batch = self._assert_matches_one_at_a_time(a, params, 8)
+        outcomes = {(-(-r.iterations // max_iters), r.converged) for r in batch.results}
+        assert len(outcomes) >= 2
+        assert any(attempt > 1 for attempt, _ in outcomes)
+
+    @pytest.mark.parametrize(
+        "name,iterations_mean", [("example5", 40.54), ("example6", 295.81)]
+    )
+    def test_seed0_table1_pinned(self, name, iterations_mean):
+        # read from the one-restart-at-a-time solver this batch replaced
+        rep = multi_start(
+            expand(presets.by_name(name)),
+            AdmmParams(seed=0),
+            restarts=100,
+            reference=presets.BENCHMARK_REFERENCES[name],
+        )
+        assert rep.iterations_mean == iterations_mean
+        assert rep.success_rate == 1.0
 
     def test_agreement_with_grid_oracle(self, rng):
         for _ in range(12):
