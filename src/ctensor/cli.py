@@ -24,7 +24,6 @@ from .core import (
     as_circulant,
     is_circulant,
     is_toeplitz,
-    materialize,
     symmetrize,
 )
 from .diag_root import DiagRootSpec, expand
@@ -127,7 +126,7 @@ def cmd_classify(args) -> dict:
         "b0": report.is_b0,
         "b": report.is_b,
         "doubly_circulant": doubly,
-        "toeplitz": is_toeplitz(materialize(obj)),
+        "toeplitz": is_toeplitz(obj),
     }
 
 

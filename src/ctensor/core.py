@@ -25,14 +25,6 @@ def materialization_budget(budget: int | None = None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _check_budget(n: int, order: int, budget: int | None) -> None:
-    cap = materialization_budget(budget)
-    if n**order > cap:
-        raise ValueError(
-            f"dense materialization of {n}^{order} entries exceeds budget {cap}"
-        )
-
-
 @dataclass(frozen=True)
 class DenseTensor:
     """Explicit order-m, dimension-n multi-array, row-major, 1-based indices."""
@@ -136,7 +128,11 @@ def materialize(a: Tensor, budget: int | None = None) -> DenseTensor:
     """Dense tensor agreeing with entry() everywhere (budget-capped)."""
     if isinstance(a, DenseTensor):
         return a
-    _check_budget(a.dim, a.order, budget)
+    cap = materialization_budget(budget)
+    if a.dim**a.order > cap:
+        raise ValueError(
+            f"dense materialization of {a.dim}^{a.order} entries exceeds budget {cap}"
+        )
     rows = [row_tensor(a, k).array for k in range(1, a.dim + 1)]
     return DenseTensor(np.stack(rows, axis=0))
 
@@ -153,8 +149,11 @@ def is_circulant(t: Tensor, tol: float = 0.0) -> bool:
 
 
 def is_toeplitz(t: Tensor, tol: float = 0.0) -> bool:
-    """True iff a_{j1..jm} = a_{j1+1..jm+1} for all indices in [n-1]."""
-    arr = materialize(t).array if isinstance(t, CirculantTensor) else t.array
+    """True iff a_{j1..jm} = a_{j1+1..jm+1} for all indices in [n-1]
+    (always, for a circulant tensor)."""
+    if isinstance(t, CirculantTensor):
+        return True
+    arr = t.array
     if arr.ndim < 2:
         raise ValueError("Toeplitz test needs order >= 2")
     lo = arr[(slice(0, -1),) * arr.ndim]
@@ -171,12 +170,15 @@ def as_circulant(t: Tensor, tol: float = 0.0) -> CirculantTensor:
     return CirculantTensor(DenseTensor(t.array[0]))
 
 
-def _contract_all(arr: np.ndarray, x: np.ndarray):
-    """Multilinear form of a dense array: contract every mode with x."""
-    out = arr
-    for _ in range(arr.ndim):
-        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
-    return out
+def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading len(vecs) modes of ``arr`` with one batch of
+    vectors each (every entry of ``vecs`` is (R, n)): a matmul chain over the
+    batch axis, returning (R,) + arr.shape[len(vecs):]."""
+    num, n = vecs[0].shape
+    out = vecs[0] @ arr.reshape(n, -1)
+    for v in vecs[1:]:
+        out = (v[:, None, :] @ out.reshape(num, n, -1))[:, 0]
+    return out.reshape((num,) + arr.shape[len(vecs):])
 
 
 def apply_full(a: Tensor, x) -> float | complex:
@@ -186,15 +188,12 @@ def apply_full(a: Tensor, x) -> float | complex:
     A x^m = sum_k x_k * rootform(x rotated by k-1).
     """
     x = np.asarray(x)
+    if x.shape != (a.dim,):
+        raise ValueError(f"expected vector of length {a.dim}")
     if isinstance(a, DenseTensor):
-        if x.shape != (a.dim,):
-            raise ValueError(f"expected vector of length {a.dim}")
-        val = _contract_all(a.array, x)
+        val = _contract(a.array, [x[None]] * a.order)[0]
     else:
-        if x.shape != (a.dim,):
-            raise ValueError(f"expected vector of length {a.dim}")
-        rows = apply_partial(a, x)
-        val = np.dot(x, rows)
+        val = np.dot(x, apply_partial(a, x))
     return complex(val) if np.iscomplexobj(x) else float(val)
 
 
@@ -205,13 +204,14 @@ def apply_partial(a: Tensor, x) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"expected vector of length {n}")
     if isinstance(a, DenseTensor):
-        out = a.array
-        for _ in range(a.order - 1):
-            out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
-        return out
-    root = a.root.array
-    # row k sees x rotated left by k-1 positions
-    return np.array([_contract_all(root, np.roll(x, -k)) for k in range(n)])
+        if a.order == 1:
+            return a.array
+        # the free mode moves last, the others contract as leading modes
+        return _contract(np.moveaxis(a.array, 0, -1), [x[None]] * (a.order - 1))[0]
+    # row k sees x rotated left by k-1 positions: one batched contraction
+    ar = np.arange(n)
+    rotations = x[(ar[:, None] + ar) % n]
+    return _contract(a.root.array, [rotations] * (a.order - 1))
 
 
 def matrix_product(a: Tensor, q: np.ndarray) -> DenseTensor:
@@ -230,55 +230,69 @@ def matrix_product(a: Tensor, q: np.ndarray) -> DenseTensor:
     return DenseTensor(out)
 
 
-def symmetrize(a: Tensor, budget: int | None = None):
+def symmetrize(a: Tensor):
     """The unique symmetric tensor with the same homogeneous form.
 
     Averages the dense array over all mode permutations (uniform multiplicity
     makes this equal to the distinct-permutation average).  Circulant input
-    yields circulant output and is returned in root form.
+    yields circulant output in root form, from the root alone: the first row
+    of each transpose is a view of one of m slices (one axis fixed at 0), each
+    gathered from the root, so the sum is the dense one's first row bit for bit.
     """
-    circ_in = isinstance(a, CirculantTensor)
-    arr = materialize(a, budget).array
-    m = arr.ndim
-    acc = np.zeros_like(arr)
-    for perm in itertools.permutations(range(m)):
-        acc += np.transpose(arr, perm)
+    m = a.order
+    if isinstance(a, DenseTensor):
+        arr = a.array
+        acc = np.zeros_like(arr)
+        for perm in itertools.permutations(range(m)):
+            acc += np.transpose(arr, perm)
+        acc /= math.factorial(m)
+        return DenseTensor(acc)
+    n, root = a.dim, a.root.array
+    grid = np.indices((n,) * (m - 1), sparse=True)
+    acc = np.zeros_like(root)
+    # permutations in the lexicographic order of the dense loop: by perm[0]
+    for k in range(m):
+        idx = list(grid)
+        idx.insert(k, 0)  # the full index (j1..jm) with j_{k+1} = 1
+        piece = root[tuple((j - idx[0]) % n for j in idx[1:])]
+        rest = [ax for ax in range(m) if ax != k]
+        for tail in itertools.permutations(rest):
+            acc += np.transpose(piece, [rest.index(ax) for ax in tail])
     acc /= math.factorial(m)
-    if circ_in:
-        return CirculantTensor(DenseTensor(acc[0]))
-    return DenseTensor(acc)
+    return CirculantTensor(DenseTensor(acc))
+
+
+def _diagonal(arr: np.ndarray) -> np.ndarray:
+    """View of the main diagonal (j, ..., j) of a C-contiguous (n,)*m array:
+    every (1 + n + ... + n^(m-1))-th entry of the flat array."""
+    n = arr.shape[0]
+    return arr.reshape(-1)[:: sum(n**k for k in range(arr.ndim))]
+
+
+def _diagonal_array(values, m: int) -> np.ndarray:
+    """Order-m array with ``values`` on its main diagonal, zeros elsewhere."""
+    out = np.zeros((len(values),) * m)
+    _diagonal(out)[:] = values
+    return out
 
 
 def diagonal_part(a: Tensor) -> DenseTensor:
     """Diagonal tensor carrying A's diagonal entries."""
     if isinstance(a, CirculantTensor):
-        n, m = a.dim, a.order
-        diag = np.full(n, a.diagonal_entry)
+        diag = np.full(a.dim, a.diagonal_entry)
     else:
-        arr = a.array
-        n, m = a.dim, a.order
-        diag = np.array([arr[(j,) * m] for j in range(n)])
-    out = np.zeros((n,) * m)
-    for j in range(n):
-        out[(j,) * m] = diag[j]
-    return DenseTensor(out)
+        diag = _diagonal(a.array)
+    return DenseTensor(_diagonal_array(diag, a.order))
 
 
 def perm_matrix(n: int) -> np.ndarray:
     """Cyclic shift matrix P: ones on the superdiagonal and at (n, 1)."""
-    p = np.zeros((n, n))
-    for j in range(n - 1):
-        p[j, j + 1] = 1.0
-    p[n - 1, 0] = 1.0
-    return p
+    return np.roll(np.eye(n), 1, axis=1)
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:
     """Ones on the diagonal, zeros elsewhere."""
-    out = np.zeros((n,) * m)
-    for j in range(n):
-        out[(j,) * m] = 1.0
-    return DenseTensor(out)
+    return DenseTensor(_diagonal_array(np.ones(n), m))
 
 
 def associated_array(a: CirculantTensor) -> np.ndarray:

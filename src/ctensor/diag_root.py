@@ -19,6 +19,8 @@ import sympy as sp
 from .core import (
     CirculantTensor,
     DenseTensor,
+    _diagonal,
+    _diagonal_array,
     apply_full,
     circulant_from_root,
     is_circulant,
@@ -31,6 +33,7 @@ from .verdict import (
     NOT_PSD,
     PsdVerdict,
     inconclusive,
+    not_psd_verdict,
     psd_verdict,
 )
 
@@ -60,26 +63,14 @@ class DiagRootSpec:
 
 def expand(spec: DiagRootSpec) -> CirculantTensor:
     """The circulant tensor whose root has c on its diagonal."""
-    n, d = spec.dim, spec.order - 1
-    if d == 1:
-        return circulant_from_root(spec.c.copy())
-    root = np.zeros((n,) * d)
-    for j in range(n):
-        root[(j,) * d] = spec.c[j]
-    return circulant_from_root(root)
+    return circulant_from_root(_diagonal_array(spec.c, spec.order - 1))
 
 
 def diag_root_vector(a: CirculantTensor) -> np.ndarray | None:
     """The diagonal coefficients if the root is exactly diagonal, else None."""
     arr = a.root.array
-    if arr.ndim == 1:
-        return arr.copy()
-    n = a.dim
-    diag = np.array([arr[(j,) * arr.ndim] for j in range(n)])
-    rebuilt = np.zeros_like(arr)
-    for j in range(n):
-        rebuilt[(j,) * arr.ndim] = diag[j]
-    return diag if np.array_equal(arr, rebuilt) else None
+    diag = _diagonal(arr).copy()
+    return diag if np.count_nonzero(arr) == np.count_nonzero(diag) else None
 
 
 @dataclass(frozen=True)
@@ -90,12 +81,8 @@ class CirculantMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        n = len(self.c)
-        out = np.empty((n, n))
-        for j in range(n):
-            for l in range(n):
-                out[j, l] = self.c[(j - l) % n]
-        return out
+        ar = np.arange(len(self.c))
+        return self.c[(ar[:, None] - ar) % len(self.c)]
 
     def eigenvalues(self) -> np.ndarray:
         """mu_k = sum_j c_j w_k^j for w_k = exp(2*pi*i*k/n)."""
@@ -155,14 +142,6 @@ def _exact_sign_form(spec: DiagRootSpec, x: np.ndarray) -> Fraction:
     return total
 
 
-def _not_psd(a, witness: np.ndarray, details: dict, certificate: str) -> PsdVerdict:
-    value = float(apply_full(a, witness)) if a is not None else None
-    details = dict(details)
-    if value is not None:
-        details["witness_value"] = value
-    return PsdVerdict(NOT_PSD, certificate, np.asarray(witness, dtype=float), details)
-
-
 def _exact_not_psd(spec: DiagRootSpec, a, witness, details) -> PsdVerdict:
     """Emit a refutation whose witness value is certified by exact arithmetic.
 
@@ -173,9 +152,7 @@ def _exact_not_psd(spec: DiagRootSpec, a, witness, details) -> PsdVerdict:
     exact = _exact_sign_form(spec, np.asarray(witness, dtype=float))
     if exact >= 0:
         raise AssertionError("refutation witness has nonnegative exact value")
-    details = dict(details)
-    details["witness_value_exact"] = float(exact)
-    return _not_psd(a, witness, details, DIAG_ROOT)
+    return not_psd_verdict(a, witness, DIAG_ROOT, details, exact=exact)
 
 
 def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
@@ -277,20 +254,12 @@ def _quadratic_gram(q_expr: sp.Expr, xs) -> sp.Matrix:
     return sp.hessian(q_expr, xs) / 2
 
 
-def _perturbed_witness(a, direction: np.ndarray, n: int) -> np.ndarray | None:
-    """Nudge a negative direction off the sum(x)=0 hyperplane, keep the form
-    negative, and confirm against the full tensor.  Returns the candidate
-    with the most negative verified value."""
-    ones = np.ones(n)
-    best, best_val = None, 0.0
-    for eps in [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5, -1e-3, -1e-2, -0.1, -0.25, -0.5]:
-        w = direction + eps * ones
-        if abs(w.sum()) < 1e-12:
-            continue
-        val = float(apply_full(a, w))
-        if val < best_val:
-            best, best_val = w, val
-    return best
+def _perturbed_witness(a, direction: np.ndarray) -> np.ndarray:
+    """Nudge a negative direction off the sum(x)=0 hyperplane: the candidate
+    with the least form value of the full tensor, the first of any tie."""
+    steps = [0.0, 1e-3, 1e-2, 0.1, 0.25, 0.5, -1e-3, -1e-2, -0.1, -0.25, -0.5]
+    candidates = [w for w in (direction + t for t in steps) if abs(w.sum()) >= 1e-12]
+    return min(candidates, key=lambda w: float(apply_full(a, w)))
 
 
 def doubly_psd(a: CirculantTensor) -> PsdVerdict:
@@ -321,9 +290,10 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         if sub.is_psd:
             return psd_verdict(DOUBLY_CIRCULANT, **trail)
         if sub.decision == NOT_PSD and sub.witness is not None:
-            w = _perturbed_witness(a, sub.witness, n)
-            if w is not None:
-                return _not_psd(a, w, trail, DOUBLY_CIRCULANT)
+            w = _perturbed_witness(a, sub.witness)
+            v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
+            if v is not None:
+                return v
         # fall through
 
     if root.size > _SYMBOLIC_ROOT_CAP:
@@ -353,9 +323,11 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         if best is not None and best_val != 0.0:
             for t in [1e-4, 1e-3, 1e-2, 0.1]:
                 w = best - math.copysign(t, best_val) * np.ones(n)
-                if float(apply_full(a, w)) < 0:
-                    return _not_psd(a, w, trail, DOUBLY_CIRCULANT)
-        return inconclusive(route="hyperplane-witness-not-found", **trail)
+                v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
+                if v is not None:
+                    return v
+        trail["route"] = "hyperplane-witness-not-found"
+        return inconclusive(**trail)
 
     q_expr = q.as_expr()
     if q.total_degree() == 2:
@@ -367,9 +339,11 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         if verdict is False:
             gf = np.array(gram.evalf(), dtype=float)
             evals, evecs = np.linalg.eigh(gf)
-            w = _perturbed_witness(a, evecs[:, 0], n)
-            if w is not None:
-                return _not_psd(a, w, trail, DOUBLY_CIRCULANT)
-        return inconclusive(route="quadratic-residual-unresolved", **trail)
+            w = _perturbed_witness(a, evecs[:, 0])
+            v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
+            if v is not None:
+                return v
+        trail["route"] = "quadratic-residual-unresolved"
+        return inconclusive(**trail)
 
     return inconclusive(route="residual-degree-too-high", **trail)

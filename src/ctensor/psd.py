@@ -18,7 +18,7 @@ import numpy as np
 from .admm import AdmmParams, multi_start
 from .core import (
     CirculantTensor,
-    apply_full,
+    _contract,
     associated_array,
     materialize,
 )
@@ -37,10 +37,10 @@ from .verdict import (
     INCONCLUSIVE,
     NEG_ALT,
     NONPOS_ASSOC,
-    NOT_PSD,
     NUMERIC,
     PsdVerdict,
     inconclusive,
+    not_psd_verdict,
     psd_verdict,
 )
 
@@ -67,16 +67,6 @@ def _root_scale(a: CirculantTensor) -> float:
     return max(1.0, math.fsum(np.abs(a.root.array).reshape(-1)))
 
 
-def _verified_not_psd(a, witness, certificate, details) -> PsdVerdict | None:
-    witness = np.asarray(witness, dtype=float)
-    value = float(apply_full(a, witness))
-    if value >= 0:
-        return None
-    details = dict(details)
-    details["witness_value"] = value
-    return PsdVerdict(NOT_PSD, certificate, witness, details)
-
-
 def necessary_checks(a: CirculantTensor):
     """The sign conditions every even-order PSD circulant tensor satisfies.
 
@@ -95,18 +85,18 @@ def necessary_checks(a: CirculantTensor):
     if c0 < 0 and verdict is None:
         e1 = np.zeros(n)
         e1[0] = 1.0
-        verdict = _verified_not_psd(a, e1, None, {"failed": "diagonal_entry"})
+        verdict = not_psd_verdict(a, e1, None, {"failed": "diagonal_entry"})
 
     lam0 = first_native(a)
     checks.append(CheckResult("first_native", lam0, lam0 >= -tol))
     if lam0 < -tol and verdict is None:
-        verdict = _verified_not_psd(a, np.ones(n), None, {"failed": "first_native"})
+        verdict = not_psd_verdict(a, np.ones(n), None, {"failed": "first_native"})
 
     if n % 2 == 0:
         lam_half = alternative_native(a)
         checks.append(CheckResult("alternative_native", lam_half, lam_half >= -tol))
         if lam_half < -tol and verdict is None:
-            verdict = _verified_not_psd(
+            verdict = not_psd_verdict(
                 a, hat_one_k(n, 1), None, {"failed": "alternative_native"}
             )
     return checks, verdict
@@ -147,14 +137,14 @@ def exact_special_cases(a: CirculantTensor) -> PsdVerdict | None:
         lam0 = first_native(a)
         if lam0 >= -tol:
             return psd_verdict(NONPOS_ASSOC, lambda0=lam0)
-        v = _verified_not_psd(a, np.ones(a.dim), NONPOS_ASSOC, {"lambda0": lam0})
+        v = not_psd_verdict(a, np.ones(a.dim), NONPOS_ASSOC, {"lambda0": lam0})
         if v is not None:
             return v
     if a.dim % 2 == 0 and is_negatively_alternative(assoc):
         lam_half = alternative_native(a)
         if lam_half >= -tol:
             return psd_verdict(NEG_ALT, lambda_n_half=lam_half)
-        v = _verified_not_psd(
+        v = not_psd_verdict(
             a, hat_one_k(a.dim, 1), NEG_ALT, {"lambda_n_half": lam_half}
         )
         if v is not None:
@@ -220,17 +210,10 @@ def check_psd(
     trail["numeric_best"] = best.value
     trail["numeric_converged"] = best.converged
     if best.value < -1e-6 * scale:
-        v = _verified_not_psd(a, best.point, NUMERIC, trail)
+        v = not_psd_verdict(a, best.point, NUMERIC, trail)
         if v is not None:
             return v
     return PsdVerdict(INCONCLUSIVE, NUMERIC, None, trail)
-
-
-def _batch_form(arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    m = arr.ndim
-    letters = "ijklpqrs"[:m]
-    subs = letters + "," + ",".join("a" + ch for ch in letters) + "->a"
-    return np.einsum(subs, arr, *([pts] * m))
 
 
 def _circle_points(num: int) -> np.ndarray:
@@ -302,7 +285,16 @@ def brute_force_min(
     else:
         raise ValueError("brute-force oracle supports n in {2, 3, 4} only")
 
-    vals = _batch_form(arr, pts)
+    # the kernel's first product holds n^(m-1) values per point: evaluate in
+    # chunks of about 2^16 of them, so a large grid needs no large buffer
+    m = arr.ndim
+    step = max(1, 2**16 // n ** (m - 1))
+
+    def form(points):
+        parts = range(0, len(points), step)
+        return np.concatenate([_contract(arr, [points[i : i + step]] * m) for i in parts])
+
+    vals = form(pts)
     best_i = int(np.argmin(vals))
     best_x = pts[best_i]
     best_v = float(vals[best_i])
@@ -317,7 +309,7 @@ def brute_force_min(
             g.reshape(-1, 1) * frame[i][None, :] for i, g in enumerate(grids)
         )
         local /= np.linalg.norm(local, axis=1, keepdims=True)
-        lv = _batch_form(arr, local)
+        lv = form(local)
         i = int(np.argmin(lv))
         if lv[i] < best_v:
             best_v = float(lv[i])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CirculantTensor, apply_partial, associated_array
-from .structure import SignClass, classify_sign_array
+from .structure import SignClass, classify_sign_array, parity_signs
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ class ExtremeEigenvalue:
     basis: str  # which sign structure of the associated tensor applied
 
 
-def _fold_exponents(arr: np.ndarray, n: int) -> np.ndarray:
-    """coeffs[s] = sum of entries over index tuples with sum(idx0) = s (mod n)."""
-    if arr.ndim == 1:
-        out = np.zeros(n)
-        out[:] = arr
-        return out
-    out = np.zeros(n)
-    for i in range(n):
-        out += np.roll(_fold_exponents(arr[i], n), i)
-    return out
-
-
 def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     """Coefficients of the associated polynomial, exponents reduced mod n.
 
@@ -74,7 +62,13 @@ def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     j1+...+j_{m-1}-m+1 = sum of the 0-based indices; reduction mod n is valid
     because the polynomial is only ever evaluated at n-th roots of unity.
     """
-    return _fold_exponents(a.root.array, a.dim)
+    root, n = a.root.array, a.dim
+    # one bincount per leading index i over the other indices' sums, shifted by i
+    rest = (np.indices(root.shape[1:]).sum(axis=0) % n).reshape(-1)
+    out = np.zeros(n)
+    for i in range(n):
+        out += np.roll(np.bincount(rest, weights=root[i].reshape(-1), minlength=n), i)
+    return out
 
 
 def native_eigenvalues(a: CirculantTensor) -> NativeSpectrum:
@@ -103,10 +97,7 @@ def alternative_native(a: CirculantTensor) -> float:
     if n % 2:
         raise ValueError("alternative native eigenvalue needs even n")
     arr = a.root.array
-    signs = np.ones(())
-    for _ in range(arr.ndim):
-        signs = np.multiply.outer(signs, (-1.0) ** np.arange(n))
-    return math.fsum((arr * signs).reshape(-1))
+    return math.fsum((arr * parity_signs(arr.shape)).reshape(-1))
 
 
 def gershgorin(a: CirculantTensor) -> GershgorinDisc:

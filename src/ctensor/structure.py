@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CirculantTensor, Tensor, is_circulant, materialize
+from .core import CirculantTensor, DenseTensor, Tensor, is_circulant, materialize
 
 
 class SignClass(str, Enum):
@@ -48,8 +48,26 @@ def classify_sign_array(arr: np.ndarray) -> SignClass:
 
 
 def classify_sign(t: Tensor) -> SignClass:
-    """Sign class of the full tensor (circulant input is materialized)."""
-    return classify_sign_array(materialize(t).array)
+    """Sign class of the full tensor, from the root for circulant input: the
+    tensor holds exactly the root's entries, and row k (0-based) is the root
+    rolled by k, its entries' parity k plus the root index sum."""
+    if isinstance(t, DenseTensor):
+        return classify_sign_array(t.array)
+    root = t.root.array
+    if np.all(root >= 0):
+        return SignClass.NONNEGATIVE
+    if np.all(root <= 0):
+        return SignClass.NONPOSITIVE
+    signs = parity_signs(root.shape)
+    axes = tuple(range(root.ndim))
+    alt = neg = True
+    for k in range(t.dim):
+        signed = np.roll(root, (k,) * root.ndim, axis=axes) * ((-1.0) ** k * signs)
+        alt = alt and bool(np.all(signed >= 0))
+        neg = neg and bool(np.all(signed <= 0))
+        if not (alt or neg):
+            return SignClass.NONE
+    return SignClass.ALTERNATIVE if alt else SignClass.NEGATIVELY_ALTERNATIVE
 
 
 def is_alternative(arr: np.ndarray) -> bool:
@@ -179,11 +197,7 @@ def hat_one_k(n: int, k: int) -> np.ndarray:
     """Blocks of k ones then k minus-ones, repeated; needs 2k | n."""
     if n % (2 * k):
         raise ValueError(f"n={n} is not divisible by 2k={2 * k}")
-    out = np.ones(n)
-    for j in range(n):
-        if (j // k) % 2 == 1:
-            out[j] = -1.0
-    return out
+    return np.where((np.arange(n) // k) % 2 == 1, -1.0, 1.0)
 
 
 def is_doubly_circulant(a: CirculantTensor, tol: float = 0.0) -> bool:

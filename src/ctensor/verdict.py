@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import apply_full
+
 PSD = "psd"
 PSD_STRICT = "psd_strict"
 NOT_PSD = "not_psd"
@@ -51,3 +53,19 @@ def psd_verdict(certificate: str, strict: bool = False, **details) -> PsdVerdict
 
 def inconclusive(**details) -> PsdVerdict:
     return PsdVerdict(INCONCLUSIVE, None, None, dict(details))
+
+
+def not_psd_verdict(a, witness, certificate: str | None, details: dict,
+                    exact=None) -> PsdVerdict | None:
+    """The refutation of ``a`` by ``witness`` if its re-evaluated form value
+    is negative, else None.  A rational value ``exact`` from the caller decides
+    instead, since the float value can round to zero on hairline margins."""
+    witness = np.asarray(witness, dtype=float)
+    value = float(apply_full(a, witness))
+    details = dict(details)
+    if exact is not None:
+        details["witness_value_exact"] = float(exact)
+    if (value if exact is None else exact) >= 0:
+        return None
+    details["witness_value"] = value
+    return PsdVerdict(NOT_PSD, certificate, witness, details)

@@ -224,6 +224,29 @@ class TestMultiStart:
         assert rep.iterations_mean == iterations_mean
         assert rep.success_rate == 1.0
 
+    def test_tied_restarts_take_lowest_index(self):
+        # seed 3: both restarts reach the example5 minimum at different
+        # points of its symmetry family, their values a few ulps apart
+        rep = multi_start(expand(presets.by_name("example5")), AdmmParams(seed=3), restarts=2)
+        v0, v1 = rep.values
+        assert not np.allclose(rep.results[0].point, rep.results[1].point)
+        assert abs(v0 - v1) <= 1e-12 * max(1.0, abs(v1))
+        assert rep.best is rep.results[0]
+
+    def test_near_tie_rule(self, monkeypatch):
+        from ctensor import admm
+        from ctensor.admm import AdmmResult
+
+        def fake_solve(a, params, starts):
+            vals = [-5.0, -5.0 - 4e-12, -5.0 - 6e-12, -5.0 - 2e-11]
+            return [AdmmResult(v, np.ones(2), 1, True, 0.0) for v in vals[: len(starts)]]
+
+        monkeypatch.setattr(admm, "_solve", fake_solve)
+        a = expand(presets.by_name("example5"))
+        # within a relative 1e-12 of the minimum the lowest index wins
+        assert multi_start(a, restarts=3).best.value == -5.0 - 4e-12
+        assert multi_start(a, restarts=4).best.value == -5.0 - 2e-11
+
     def test_agreement_with_grid_oracle(self, rng):
         for _ in range(12):
             n = int(rng.integers(2, 4))

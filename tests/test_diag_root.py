@@ -253,6 +253,16 @@ class TestDiagRootPsd:
         assert v2.details["witness_value_exact"] < 0
 
 
+    def test_exact_sign_decides_where_float_rounds(self):
+        # lambda0 = -2^-60 exactly, but the float form at the all-ones
+        # witness rounds to 0: the rational value carries the refutation
+        spec = DiagRootSpec(4, np.array([1.0, -(2.0**-60), -1.0]))
+        v = diag_root_psd(spec)
+        assert v.decision == "not_psd"
+        assert v.details["witness_value"] == 0.0
+        assert v.details["witness_value_exact"] < 0
+
+
 class TestDoubly:
     def test_factored_identity(self, rng):
         c = rng.normal(size=3)
@@ -339,3 +349,22 @@ class TestDoubly:
         # inner diag root (5, 1) is dominance-certified, so the reduction
         # should certify the outer tensor
         assert v.decision == "psd"
+
+    @pytest.mark.parametrize("which", ["quadratic", "recursion"])
+    def test_nonnegative_witness_not_emitted(self, monkeypatch, which):
+        import ctensor.diag_root as dr
+
+        if which == "quadratic":
+            a = presets.by_name("example4_case1")
+        else:
+            inner = expand(DiagRootSpec(4, np.array([1.0, -2.0])))
+            a = circulant_from_root(materialize(circulant_from_root(materialize(inner).array)).array)
+        assert doubly_psd(a).decision == "not_psd"
+        # hand the route a witness whose form value is 0, not negative
+        monkeypatch.setattr(dr, "_perturbed_witness", lambda a, d: np.zeros(a.dim))
+        v = doubly_psd(a)
+        assert v.decision != "not_psd" or (
+            np.any(v.witness) and apply_full(a, v.witness) < 0
+        )
+        if which == "quadratic":
+            assert v.details["route"] == "quadratic-residual-unresolved"

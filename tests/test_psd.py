@@ -20,6 +20,8 @@ from ctensor.psd import (
     sufficient_diag_dominance,
 )
 
+from ctensor.verdict import not_psd_verdict
+
 from oracles import random_circulant
 
 
@@ -58,6 +60,24 @@ class TestNecessaryChecks:
     def test_dense_input_rejected(self):
         with pytest.raises(TypeError):
             necessary_checks(identity_tensor(4, 2))
+
+
+class TestRefutationEmitter:
+    def test_only_negative_values_refute(self):
+        a = expand(DiagRootSpec(4, np.array([1.0, -3.0])))
+        assert not_psd_verdict(a, np.zeros(2), None, {}) is None
+        assert not_psd_verdict(a, np.array([1.0, 0.0]), None, {}) is None  # value 1
+        v = not_psd_verdict(a, np.ones(2), "tag", {"k": 1})
+        assert v.decision == "not_psd" and v.certificate == "tag"
+        assert v.details == {"k": 1, "witness_value": apply_full(a, np.ones(2))}
+
+    def test_exact_value_overrides_rounding(self):
+        from fractions import Fraction
+
+        a = expand(DiagRootSpec(4, np.array([1.0, 1.0])))
+        assert not_psd_verdict(a, np.ones(2), None, {}, exact=Fraction(1)) is None
+        v = not_psd_verdict(a, np.ones(2), None, {}, exact=Fraction(-1, 2**70))
+        assert v.details["witness_value"] > 0 > v.details["witness_value_exact"]
 
 
 class TestDiagDominance:

@@ -1,0 +1,154 @@
+"""Circulant analysis paths compute from the root; the dense path is the reference."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from ctensor.cli import dispatch
+from ctensor.core import (
+    DenseTensor,
+    apply_full,
+    apply_partial,
+    circulant_from_root,
+    diagonal_part,
+    identity_tensor,
+    is_toeplitz,
+    materialize,
+    perm_matrix,
+    symmetrize,
+)
+from ctensor.diag_root import CirculantMatrix, DiagRootSpec, diag_root_vector, expand
+from ctensor.io import tensor_to_dict
+from ctensor.psd import check_psd
+from ctensor.spectral import extreme_h_eigenvalue, gershgorin, native_eigenvalues
+from ctensor.structure import (
+    SignClass,
+    b_class,
+    classify_sign,
+    classify_sign_array,
+    hat_one_k,
+    is_doubly_circulant,
+)
+
+from oracles import random_circulant
+
+
+def starved_tensor(kind: str):
+    """Order 4, n = 10: 10^4 dense entries against a budget of 10."""
+    rng = np.random.default_rng(3)
+    root = rng.uniform(-1.0, 1.0, size=(10, 10, 10))
+    if kind == "nonnegative":
+        root = np.abs(root)
+    root[0, 0, 0] = 50.0  # passes the necessary checks, so the chain runs on
+    return circulant_from_root(root)
+
+
+@pytest.mark.parametrize("kind", ["signed", "nonnegative"])
+def test_budget_starved_analysis(monkeypatch, kind):
+    a = starved_tensor(kind)
+    dense = materialize(a)
+    x = np.random.default_rng(4).normal(size=a.dim)
+    ref_b = b_class(dense)
+    ref_sign = classify_sign(dense)
+    ref_sym = symmetrize(dense).array[0]
+    ref_full, ref_partial = apply_full(dense, x), apply_partial(dense, x)
+
+    monkeypatch.setenv("CTENSOR_BUDGET", "10")
+    with pytest.raises(ValueError, match="budget"):
+        materialize(a)
+    spec = native_eigenvalues(a)
+    assert len(spec.lambdas) == a.dim
+    assert gershgorin(a).contains(spec.lambdas[0], 1e-9)
+    ext = extreme_h_eigenvalue(a)
+    assert (ext is not None) == (kind == "nonnegative")
+    assert classify_sign(a) == ref_sign
+    assert is_toeplitz(a) and is_toeplitz(dense)
+    report = b_class(a)
+    assert (report.is_b0, report.is_b) == (ref_b.is_b0, ref_b.is_b)
+    assert not is_doubly_circulant(a)
+    assert np.array_equal(symmetrize(a).root.array, ref_sym)
+    assert apply_full(a, x) == pytest.approx(ref_full, rel=1e-12)
+    assert np.allclose(apply_partial(a, x), ref_partial, rtol=1e-12, atol=1e-12)
+    assert check_psd(a, mode="certificates_only").decision in ("psd", "inconclusive")
+
+
+def test_budget_starved_cli_classify(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(tensor_to_dict(starved_tensor("signed"))))
+    assert dispatch(["classify", str(path)]) == 0
+    reference = capsys.readouterr().out
+    monkeypatch.setenv("CTENSOR_BUDGET", "10")
+    assert dispatch(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == reference
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (6, 3)])
+def test_symmetrize_root_is_dense_first_row(rng, m, n):
+    for _ in range(3):
+        a = random_circulant(rng, m, n)
+        assert np.array_equal(symmetrize(a).root.array, symmetrize(materialize(a)).array[0])
+
+
+def sign_structured_roots(rng, m, n):
+    """Roots with every sign pattern the classes look at, some entries zeroed."""
+    shape = (n,) * (m - 1)
+    mag = rng.uniform(0.1, 1.0, size=shape) * (rng.uniform(size=shape) < 0.8)
+    parity = (-1.0) ** np.indices(shape).sum(axis=0)
+    # entries whose shift orbit keeps one full-tensor parity: the full tensor
+    # is then alternative (or negatively so) even where n is odd
+    orbit = np.zeros(shape)
+    for s in itertools.product(range(n), repeat=m - 1):
+        parities = {(k + sum((j + k) % n for j in s)) % 2 for k in range(n)}
+        if len(parities) == 1:
+            orbit[s] = (-1.0) ** parities.pop()
+    yield rng.uniform(-1.0, 1.0, size=shape)
+    for pattern in (1.0, parity, orbit):
+        yield mag * pattern
+        yield -mag * pattern
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3)]
+)
+def test_classify_sign_root_matches_dense(rng, m, n):
+    for root in sign_structured_roots(rng, m, n):
+        a = circulant_from_root(root)
+        assert classify_sign(a) == classify_sign_array(materialize(a).array)
+
+
+def test_classify_sign_cases_cover_every_class(rng):
+    seen = {
+        classify_sign(circulant_from_root(root))
+        for m, n in [(3, 3), (4, 4), (5, 3)]
+        for root in sign_structured_roots(rng, m, n)
+    }
+    assert seen == set(SignClass)
+
+
+def loop_diagonal(values, m):
+    out = np.zeros((len(values),) * m)
+    for j, v in enumerate(values):
+        out[(j,) * m] = v
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 2)])
+def test_diagonal_builders_match_loops(rng, m, n):
+    arr = rng.normal(size=(n,) * m)
+    diag = [arr[(j,) * m] for j in range(n)]
+    assert np.array_equal(diagonal_part(DenseTensor(arr)).array, loop_diagonal(diag, m))
+    assert np.array_equal(identity_tensor(m, n).array, loop_diagonal(np.ones(n), m))
+    c = rng.normal(size=n)
+    assert np.array_equal(expand(DiagRootSpec(m + 1, c)).root.array, loop_diagonal(c, m))
+    assert np.array_equal(diag_root_vector(expand(DiagRootSpec(m + 1, c))), c)
+    assert diag_root_vector(circulant_from_root(arr)) is None
+    shift = np.zeros((n, n))
+    for j in range(n):
+        shift[j, (j + 1) % n] = 1.0
+    assert np.array_equal(perm_matrix(n), shift)
+    wrapped = np.array([[c[(j - l) % n] for l in range(n)] for j in range(n)])
+    assert np.array_equal(CirculantMatrix(c).matrix, wrapped)
+    blocks = np.array([-1.0 if (j // 2) % 2 else 1.0 for j in range(4 * n)])
+    assert np.array_equal(hat_one_k(4 * n, 2), blocks)
