@@ -175,7 +175,14 @@ def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     vectors each (every entry of ``vecs`` is (R, n)): a matmul chain over the
     batch axis, returning (R,) + arr.shape[len(vecs):]."""
     num, n = vecs[0].shape
-    out = vecs[0] @ arr.reshape(n, -1)
+    flat = arr.reshape(n, -1)
+    if np.iscomplexobj(vecs[0]) and not np.iscomplexobj(arr):
+        # complex @ real would cast a complex copy of arr: contract the parts
+        out = np.empty((num, flat.shape[1]), complex)
+        out.real = vecs[0].real @ flat
+        out.imag = vecs[0].imag @ flat
+    else:
+        out = vecs[0] @ flat
     for v in vecs[1:]:
         out = (v[:, None, :] @ out.reshape(num, n, -1))[:, 0]
     return out.reshape((num,) + arr.shape[len(vecs):])

@@ -4,7 +4,9 @@ A diagonal root places c_0, ..., c_{n-1} on the root's diagonal and zeros
 elsewhere.  Such tensors have a fully explicit eigenstructure (that of an
 n x n circulant matrix built from c) and an exact semi-definiteness decision
 in several regimes.  A doubly circulant tensor has a circulant root, so all
-of its row tensors coincide and its form factors through sum(x).
+of its row tensors coincide and its form factors through sum(x).  Its exact
+route works on the root form as a polynomial with ``Fraction`` coefficients:
+float entries are dyadic rationals, so the reduction carries no rounding.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from .core import (
     CirculantTensor,
     DenseTensor,
+    _contract,
     _diagonal,
     _diagonal_array,
     apply_full,
@@ -37,7 +39,7 @@ from .verdict import (
     psd_verdict,
 )
 
-_SYMBOLIC_ROOT_CAP = 4096  # root entries; beyond this skip the exact reduction
+_EXACT_ROOT_CAP = 4096  # root entries; beyond this skip the exact reduction
 
 
 @dataclass(frozen=True)
@@ -233,25 +235,80 @@ def doubly_reduce(a: CirculantTensor, x) -> float:
     return s * float(apply_full(root, x))
 
 
-def _sum_vector_poly(n: int):
-    xs = sp.symbols(f"x1:{n + 1}")
-    return xs, sum(xs)
+def _root_form(root: np.ndarray) -> dict:
+    """g(x) = sum root[idx] x_idx as {exponent tuple: Fraction}, zero terms
+    dropped (float entries are dyadic rationals, so the coefficients are exact)."""
+    n = root.shape[0]
+    g: dict = {}
+    for idx in zip(*np.nonzero(root)):
+        e = [0] * n
+        for i in idx:
+            e[i] += 1
+        key = tuple(e)
+        g[key] = g.get(key, 0) + Fraction(float(root[idx]))
+    return {k: v for k, v in g.items() if v}
 
 
-def _root_form_poly(arr: np.ndarray, xs) -> sp.Expr:
-    expr = sp.Integer(0)
-    for idx in np.ndindex(arr.shape):
-        v = arr[idx]
-        if v != 0:
-            term = sp.Rational(float(v))
-            for i in idx:
-                term *= xs[i]
-            expr += term
-    return expr
+def _divide_by_sum(g: dict) -> tuple[dict, dict]:
+    """q, r with g = (x_1 + ... + x_n) q + r and r free of x_1.
+
+    Synthetic division: each term c x^e with e_1 > 0 moves c x^(e - e_1) into
+    q and leaves -c x^(e - e_1 + e_j), j > 1, of one lower x_1 degree, so
+    processing degrees downward clears x_1.  The remainder of a single divisor
+    with leading term x_1 is unique: this is the lexicographic division.
+    """
+    g, q = dict(g), {}
+    for d in range(max((e[0] for e in g), default=0), 0, -1):
+        for e in [e for e in g if e[0] == d]:
+            c = g.pop(e)
+            if not c:
+                continue
+            base = (d - 1,) + e[1:]
+            q[base] = c
+            for j in range(1, len(e)):
+                t = base[:j] + (base[j] + 1,) + base[j + 1:]
+                g[t] = g.get(t, 0) - c
+    return q, {e: c for e, c in g.items() if c}
 
 
-def _quadratic_gram(q_expr: sp.Expr, xs) -> sp.Matrix:
-    return sp.hessian(q_expr, xs) / 2
+def _quadratic_gram(q: dict, n: int) -> list:
+    """Symmetric G with x^T G x = q(x) for a quadratic form q."""
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for e, c in q.items():
+        i, j = [k for k in range(n) for _ in range(e[k])]
+        if i == j:
+            gram[i][i] = c
+        else:
+            gram[i][j] = gram[j][i] = c / 2
+    return gram
+
+
+def _is_psd_exact(gram: list) -> bool:
+    """Exact semi-definiteness of a symmetric rational matrix by LDL^T,
+    pivoting on the largest remaining diagonal entry."""
+    a = [list(row) for row in gram]
+    while a:
+        k = max(range(len(a)), key=lambda i: a[i][i])
+        p = a[k][k]
+        if p < 0:
+            return False
+        if p == 0:
+            return not any(any(row) for row in a)
+        rest = [i for i in range(len(a)) if i != k]
+        a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
+    return True
+
+
+def _exact_doubly_value(g: dict, w: np.ndarray) -> Fraction:
+    """A w^m = sum(w) * g(w) in exact arithmetic."""
+    wf = [Fraction(float(v)) for v in w]
+    total = Fraction(0)
+    for e, c in g.items():
+        for wi, k in zip(wf, e):
+            if k:
+                c *= wi**k
+        total += c
+    return sum(wf) * total
 
 
 def _perturbed_witness(a, direction: np.ndarray) -> np.ndarray:
@@ -265,12 +322,14 @@ def _perturbed_witness(a, direction: np.ndarray) -> np.ndarray:
 def doubly_psd(a: CirculantTensor) -> PsdVerdict:
     """Semi-definiteness of a doubly circulant tensor via its factored form.
 
-    With g(x) = A_1 x^{m-1}, the form is sum(x) * g(x).  If g does not vanish
-    on the hyperplane sum(x) = 0, a sign flip across it refutes.  Otherwise
-    sum(x) divides g exactly and A x^m = sum(x)^2 * q(x); for m = 4 the
-    residual quadratic q is decided exactly, and for deeper circulant roots
-    the decision recurses on the root of the root.  Anything else is left to
-    the general chain.
+    With g(x) = A_1 x^{m-1}, the form is sum(x) * g(x).  For deeper circulant
+    roots the decision first recurses on the root of the root.  Then g, with
+    rational coefficients, is divided by sum(x).  A nonzero remainder means g
+    does not vanish on the hyperplane sum(x) = 0, and a sign flip across it
+    refutes.  Otherwise A x^m = sum(x)^2 * q(x); for m = 4 the quadratic q is
+    decided by an exact LDL^T of its Gram matrix.  Refutations here carry
+    the exact value sum(w) * g(w).  Anything else is left to the general
+    chain.
     """
     if a.order % 2:
         raise ValueError("semi-definiteness needs even order")
@@ -296,53 +355,43 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
                 return v
         # fall through
 
-    if root.size > _SYMBOLIC_ROOT_CAP:
+    if root.size > _EXACT_ROOT_CAP:
         return inconclusive(route="root-too-large", **trail)
 
-    xs, s_expr = _sum_vector_poly(n)
-    g = sp.Poly(_root_form_poly(root, xs), *xs, domain="QQ")
-    s_poly = sp.Poly(s_expr, *xs, domain="QQ")
-    q, r = sp.div(g, s_poly)
+    g = _root_form(root)
+    q, r = _divide_by_sum(g)
 
-    if not r.is_zero:
+    def refute(w):
+        return not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail, exact=_exact_doubly_value(g, w))
+
+    if r:
         # g is nonzero somewhere on the hyperplane: the form changes sign
         trail["route"] = "hyperplane-sign-flip"
-        g_fn = sp.lambdify(xs, g.as_expr(), "numpy")
-        rng = np.random.default_rng(7)
-        best, best_val = None, 0.0
-        for _ in range(256):
-            z = rng.normal(size=n)
-            z -= z.mean()
-            norm = np.linalg.norm(z)
-            if norm < 1e-12:
-                continue
-            z /= norm
-            gv = float(g_fn(*z))
-            if abs(gv) > abs(best_val):
-                best, best_val = z, gv
-        if best is not None and best_val != 0.0:
+        z = np.random.default_rng(7).normal(size=(256, n))
+        z -= z.mean(axis=1, keepdims=True)
+        # row by row: a batched norm sums in another order and moves ulps
+        norms = np.array([np.linalg.norm(row) for row in z])
+        keep = norms >= 1e-12
+        z[keep] /= norms[keep, None]
+        vals = np.where(keep, _contract(root, [z] * (m - 1)), 0.0)
+        i = int(np.argmax(np.abs(vals)))  # the first of the largest
+        if vals[i] != 0.0:
             for t in [1e-4, 1e-3, 1e-2, 0.1]:
-                w = best - math.copysign(t, best_val) * np.ones(n)
-                v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
+                v = refute(z[i] - math.copysign(t, vals[i]) * np.ones(n))
                 if v is not None:
                     return v
         trail["route"] = "hyperplane-witness-not-found"
         return inconclusive(**trail)
 
-    q_expr = q.as_expr()
-    if q.total_degree() == 2:
-        gram = _quadratic_gram(q_expr, xs)
-        verdict = gram.is_positive_semidefinite
+    if max(map(sum, q), default=0) == 2:
+        gram = _quadratic_gram(q, n)
         trail["route"] = "quadratic-residual"
-        if verdict is True:
+        if _is_psd_exact(gram):
             return psd_verdict(DOUBLY_CIRCULANT, **trail)
-        if verdict is False:
-            gf = np.array(gram.evalf(), dtype=float)
-            evals, evecs = np.linalg.eigh(gf)
-            w = _perturbed_witness(a, evecs[:, 0])
-            v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
-            if v is not None:
-                return v
+        evecs = np.linalg.eigh(np.array(gram, dtype=float))[1]
+        v = refute(_perturbed_witness(a, evecs[:, 0]))
+        if v is not None:
+            return v
         trail["route"] = "quadratic-residual-unresolved"
         return inconclusive(**trail)
 

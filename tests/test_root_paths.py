@@ -9,6 +9,7 @@ import pytest
 from ctensor.cli import dispatch
 from ctensor.core import (
     DenseTensor,
+    _contract,
     apply_full,
     apply_partial,
     circulant_from_root,
@@ -152,3 +153,18 @@ def test_diagonal_builders_match_loops(rng, m, n):
     assert np.array_equal(CirculantMatrix(c).matrix, wrapped)
     blocks = np.array([-1.0 if (j // 2) % 2 else 1.0 for j in range(4 * n)])
     assert np.array_equal(hat_one_k(4 * n, 2), blocks)
+
+
+@pytest.mark.parametrize("m,n", [(2, 7), (3, 30), (4, 10), (6, 5)])
+def test_complex_partial_matches_complex_root(m, n):
+    # the real root is contracted with the parts of x apart; casting the root
+    # to complex first is the reference
+    rng = np.random.default_rng(m * n)
+    a = circulant_from_root(rng.uniform(-1.0, 1.0, size=(n,) * (m - 1)))
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ar = np.arange(n)
+    rotations = x[(ar[:, None] + ar) % n]
+    ref = _contract(a.root.array.astype(complex), [rotations] * (m - 1))
+    out = apply_partial(a, x)
+    assert np.iscomplexobj(out)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
