@@ -18,6 +18,7 @@ from .admm import (
     subproblem,
 )
 from .core import (
+    BudgetError,
     CirculantTensor,
     DenseTensor,
     apply_full,

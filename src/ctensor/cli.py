@@ -3,8 +3,9 @@ reproduce.
 
 Output is deterministic JSON: keys appear in construction order and floats
 carry 17 significant digits, so identical inputs and seeds give byte-identical
-bytes.  Malformed input exits with status 2; analysis verdicts never change
-the exit status.
+bytes.  Malformed input exits with status 2, a dense materialization beyond
+the entry budget (``CTENSOR_BUDGET``) with status 3; analysis verdicts never
+change the exit status.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import presets
 from .admm import AdmmParams, multi_start
 from .core import (
+    BudgetError,
     CirculantTensor,
     apply_full,
     as_circulant,
@@ -366,6 +368,9 @@ def dispatch(argv) -> int:
                 _emit(doc)
         else:  # pragma: no cover - argparse enforces choices
             return 2
+    except BudgetError as exc:
+        print(f"ctensor: budget: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"ctensor: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,6 @@ the first one becomes 1.  All index tuples in the public API are 1-based.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -15,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_BUDGET = 10**7
+
+
+class BudgetError(ValueError):
+    """A dense materialization would exceed the entry budget."""
 
 
 def materialization_budget(budget: int | None = None) -> int:
@@ -80,6 +83,12 @@ class CirculantTensor:
         """The common diagonal entry (first entry of the root)."""
         return float(self.root.array[(0,) * self.root.order])
 
+    @property
+    def off_diagonal(self) -> np.ndarray:
+        """Flat view of the root's entries after the first: the off-diagonal
+        entries of row 1 (flat index 0 is the diagonal entry)."""
+        return self.root.array.reshape(-1)[1:]
+
     def entry(self, idx) -> float:
         return entry(self, idx)
 
@@ -130,7 +139,7 @@ def materialize(a: Tensor, budget: int | None = None) -> DenseTensor:
         return a
     cap = materialization_budget(budget)
     if a.dim**a.order > cap:
-        raise ValueError(
+        raise BudgetError(
             f"dense materialization of {a.dim}^{a.order} entries exceeds budget {cap}"
         )
     rows = [row_tensor(a, k).array for k in range(1, a.dim + 1)]
@@ -168,6 +177,58 @@ def as_circulant(t: Tensor, tol: float = 0.0) -> CirculantTensor:
     if not is_circulant(t, tol):
         raise ValueError("tensor is not circulant within tolerance")
     return CirculantTensor(DenseTensor(t.array[0]))
+
+
+# _fsum: up to this many entries math.fsum itself is faster (the measured
+# crossover is about 1000)
+_FSUM_CUTOFF = 1024
+# entries per bincount: 2^14 halves below 2^27 each sum to less than 2^53;
+# the chunk's four work arrays stay small (the fastest size measured)
+_FSUM_CHUNK = 2**14
+# np.frexp exponents of nonzero finite doubles lie in [-1073, 1024]
+_FREXP_MIN, _FREXP_SPAN = -1073, 2098
+
+
+def _fsum(values) -> float:
+    """math.fsum(values), bit for bit, at array speed.
+
+    A finite double is sig * 2^(e - 53), with np.frexp's exponent e and an
+    integer significand |sig| < 2^53, which splits into two halves held
+    exactly in floats: hi * 2^27 + lo, with |hi| <= 2^26 and 0 <= lo < 2^27.
+    Per chunk of 2^14 entries np.bincount adds each half by exponent; every
+    partial sum stays below 2^53, so it is exact.  The buckets combine into
+    one Python int, and one correctly rounded int division makes the float.
+    Unlike math.fsum this has no intermediate overflow: only an exact sum
+    beyond the float range raises OverflowError.  (Private, like
+    ``_contract``: the benchmark's tracer wraps every public function here.)
+    """
+    x = np.asarray(values, dtype=float).reshape(-1)
+    if x.size <= _FSUM_CUTOFF:
+        return math.fsum(x)
+    hi_sums = np.zeros(_FREXP_SPAN, np.int64)
+    lo_sums = np.zeros(_FREXP_SPAN, np.int64)
+    for start in range(0, x.size, _FSUM_CHUNK):
+        part = x[start : start + _FSUM_CHUNK]
+        if not np.isfinite(part).all():  # inf and nan: math.fsum's rules
+            return math.fsum(x)
+        sig, exp = np.frexp(part)
+        bucket = np.subtract(exp, _FREXP_MIN, dtype=np.intp)
+        hi = sig * 2.0**26
+        np.floor(hi, out=hi)
+        sig *= 2.0**53
+        hi_sums += np.bincount(bucket, hi, _FREXP_SPAN).astype(np.int64)
+        hi *= 2.0**27
+        sig -= hi  # the low half
+        lo_sums += np.bincount(bucket, sig, _FREXP_SPAN).astype(np.int64)
+    used = np.flatnonzero(hi_sums | lo_sums)
+    if not used.size:  # all zeros: the sign of the zero is math.fsum's
+        return math.fsum(x)
+    low = int(used[0])
+    total = 0
+    for e in used.tolist():
+        total += ((int(hi_sums[e]) << 27) + int(lo_sums[e])) << (e - low)
+    shift = low + _FREXP_MIN - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
@@ -241,31 +302,42 @@ def symmetrize(a: Tensor):
     """The unique symmetric tensor with the same homogeneous form.
 
     Averages the dense array over all mode permutations (uniform multiplicity
-    makes this equal to the distinct-permutation average).  Circulant input
-    yields circulant output in root form, from the root alone: the first row
-    of each transpose is a view of one of m slices (one axis fixed at 0), each
-    gathered from the root, so the sum is the dense one's first row bit for bit.
+    makes this equal to the distinct-permutation average) as a coset sum:
+    S_m is the union over k of the permutations that move axis k to the
+    front, so the sum first adds the m arrays ``np.moveaxis(arr, k, 0)`` and
+    then sums that over S_{m-1} on the trailing axes by insertion,
+    S_i = sum_{j <= i} (j i) S_{i-1}: m + (m-1)(m-2)/2 array passes instead
+    of m!.  Circulant input yields circulant output in root form, from the
+    root alone: the first row of each moved array is the slice with axis k
+    at index 0, gathered from the root, and the trailing-axis sum runs on the
+    root in the same order, so the result is the dense one's first row bit
+    for bit.  At most two root-sized arrays are live at a time.
     """
     m = a.order
     if isinstance(a, DenseTensor):
         arr = a.array
-        acc = np.zeros_like(arr)
-        for perm in itertools.permutations(range(m)):
-            acc += np.transpose(arr, perm)
-        acc /= math.factorial(m)
-        return DenseTensor(acc)
-    n, root = a.dim, a.root.array
-    grid = np.indices((n,) * (m - 1), sparse=True)
-    acc = np.zeros_like(root)
-    # permutations in the lexicographic order of the dense loop: by perm[0]
-    for k in range(m):
-        idx = list(grid)
-        idx.insert(k, 0)  # the full index (j1..jm) with j_{k+1} = 1
-        piece = root[tuple((j - idx[0]) % n for j in idx[1:])]
-        rest = [ax for ax in range(m) if ax != k]
-        for tail in itertools.permutations(rest):
-            acc += np.transpose(piece, [rest.index(ax) for ax in tail])
+        acc = arr.copy()
+        for k in range(1, m):
+            acc += np.moveaxis(arr, k, 0)
+        first = 1
+    else:
+        n, root = a.dim, a.root.array
+        grid = np.indices((n,) * (m - 1), sparse=True)
+        acc = root.copy()  # the slice with axis 1 at index 0 is the root
+        for k in range(1, m):
+            idx = list(grid)
+            idx.insert(k, 0)  # the full index (j1..jm) with j_{k+1} = 1
+            acc += root[tuple((j - idx[0]) % n for j in idx[1:])]
+        first = 0
+    for i in range(first + 1, acc.ndim):
+        prev = acc
+        acc = prev.copy()
+        for j in range(first, i):
+            acc += np.swapaxes(prev, j, i)
+        del prev
     acc /= math.factorial(m)
+    if isinstance(a, DenseTensor):
+        return DenseTensor(acc)
     return CirculantTensor(DenseTensor(acc))
 
 

@@ -19,6 +19,7 @@ from .admm import AdmmParams, multi_start
 from .core import (
     CirculantTensor,
     _contract,
+    _fsum,
     associated_array,
     materialize,
 )
@@ -64,7 +65,7 @@ def _require_even_circulant(a) -> None:
 
 
 def _root_scale(a: CirculantTensor) -> float:
-    return max(1.0, math.fsum(np.abs(a.root.array).reshape(-1)))
+    return max(1.0, _fsum(np.abs(a.root.array)))
 
 
 def necessary_checks(a: CirculantTensor):
@@ -105,7 +106,7 @@ def necessary_checks(a: CirculantTensor):
 def sufficient_diag_dominance(a: CirculantTensor) -> PsdVerdict | None:
     """Certificate: diagonal entry dominates the associated-tensor 1-norm."""
     _require_even_circulant(a)
-    radius = math.fsum(np.abs(associated_array(a)).reshape(-1))
+    radius = _fsum(np.abs(a.off_diagonal))
     c0 = a.diagonal_entry
     if c0 >= radius:
         return psd_verdict(DIAG_DOMINANCE, c0=c0, associated_abs_sum=radius)
@@ -316,7 +317,7 @@ def brute_force_min(
             best_x = local[i]
         span *= 0.25
 
-    lipschitz = arr.ndim * math.fsum(np.abs(arr).reshape(-1))
+    lipschitz = arr.ndim * _fsum(np.abs(arr))
     details = {
         "grid_points": len(pts),
         "grid_min": grid_min,

@@ -9,12 +9,11 @@ H-eigenvalues with H-eigenvectors 1 and (1, -1, 1, -1, ...).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CirculantTensor, apply_partial, associated_array
+from .core import CirculantTensor, _fsum, apply_partial, associated_array
 from .structure import SignClass, classify_sign_array, parity_signs
 
 
@@ -88,7 +87,7 @@ def native_eigenvector(n: int, k: int) -> np.ndarray:
 
 def first_native(a: CirculantTensor) -> float:
     """lambda_0: the sum of all root entries (an H-eigenvalue, eigenvector 1)."""
-    return math.fsum(a.root.array.reshape(-1))
+    return _fsum(a.root.array)
 
 
 def alternative_native(a: CirculantTensor) -> float:
@@ -97,16 +96,16 @@ def alternative_native(a: CirculantTensor) -> float:
     if n % 2:
         raise ValueError("alternative native eigenvalue needs even n")
     arr = a.root.array
-    return math.fsum((arr * parity_signs(arr.shape)).reshape(-1))
+    return _fsum(arr * parity_signs(arr.shape))
 
 
 def gershgorin(a: CirculantTensor) -> GershgorinDisc:
     """Disc centered at the diagonal entry with the associated-tensor 1-norm radius.
 
-    Every eigenvalue of the tensor lies inside it.
+    Every eigenvalue of the tensor lies inside it.  The radius is one exact
+    sum of the off-diagonal magnitudes, rounded once.
     """
-    flat = np.abs(a.root.array).reshape(-1)
-    radius = math.fsum(flat) - abs(a.diagonal_entry)
+    radius = _fsum(np.abs(a.off_diagonal))
     return GershgorinDisc(center=a.diagonal_entry, radius=radius)
 
 

@@ -1,8 +1,11 @@
 """Structural classifiers: sign patterns, B/B0 tensors, k-alternative vectors.
 
 Sign comparisons here are exact (no epsilon): the classified entries are user
-data, not computed quantities.  Row sums and entry averages use exact float
-summation (math.fsum) so that decisions are order-independent.
+data, not computed quantities.  Row sums and entry averages are exactly
+rounded sums, so that decisions are order-independent: ``core._fsum`` returns
+math.fsum's value bit for bit, adding the integer halves of the floats'
+significands per binary exponent with np.bincount and rounding the exact
+total once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CirculantTensor, DenseTensor, Tensor, is_circulant, materialize
+from .core import CirculantTensor, DenseTensor, Tensor, _fsum, is_circulant, materialize
 
 
 class SignClass(str, Enum):
@@ -119,7 +122,7 @@ class BClassReport:
 def _b_class_general(arr: np.ndarray) -> BClassReport:
     n = arr.shape[0]
     m = arr.ndim
-    row_sums = np.array([math.fsum(arr[j].reshape(-1)) for j in range(n)])
+    row_sums = np.array([_fsum(arr[j]) for j in range(n)])
     b0 = True
     b = True
     global_max = -math.inf
@@ -139,14 +142,10 @@ def _b_class_general(arr: np.ndarray) -> BClassReport:
 
 def _b_class_circulant(a: CirculantTensor) -> BClassReport:
     n, m = a.dim, a.order
-    root = a.root.array.copy()
-    row_sum = math.fsum(root.reshape(-1))
+    row_sum = _fsum(a.root.array)
     total = row_sum * n
-    diag_pos = (0,) * (m - 1)
-    diag_val = root[diag_pos]
-    root[diag_pos] = -math.inf
-    max_off = float(np.max(root)) if root.size > 1 else -math.inf
-    root[diag_pos] = diag_val
+    off = a.off_diagonal
+    max_off = float(np.max(off)) if off.size else -math.inf
     avg = total / n**m
     b0 = total >= 0 and avg >= max_off
     b = total > 0 and avg > max_off

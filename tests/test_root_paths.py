@@ -8,6 +8,7 @@ import pytest
 
 from ctensor.cli import dispatch
 from ctensor.core import (
+    BudgetError,
     DenseTensor,
     _contract,
     apply_full,
@@ -33,7 +34,7 @@ from ctensor.structure import (
     is_doubly_circulant,
 )
 
-from oracles import random_circulant
+from oracles import naive_symmetrize, random_circulant
 
 
 def starved_tensor(kind: str):
@@ -85,11 +86,38 @@ def test_budget_starved_cli_classify(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == reference
 
 
-@pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (6, 3)])
+def test_budget_cli_exit_status(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(tensor_to_dict(starved_tensor("signed"))))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    monkeypatch.setenv("CTENSOR_BUDGET", "10")
+    with pytest.raises(BudgetError):
+        materialize(starved_tensor("signed"))
+    # ADMM iterates on the dense symmetrized array: a budget failure, not bad input
+    assert dispatch(["minimize", str(path), "--restarts", "2"]) == 3
+    assert capsys.readouterr().err.startswith("ctensor: budget: dense materialization")
+    assert dispatch(["minimize", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctensor: ") and "budget" not in err
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 5), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (6, 3), (7, 3)]
+)
 def test_symmetrize_root_is_dense_first_row(rng, m, n):
     for _ in range(3):
         a = random_circulant(rng, m, n)
         assert np.array_equal(symmetrize(a).root.array, symmetrize(materialize(a)).array[0])
+
+
+@pytest.mark.parametrize("m,n", [(7, 3), (8, 2)])
+def test_symmetrize_matches_naive_high_order(rng, m, n):
+    a = random_circulant(rng, m, n)
+    dense = materialize(a)
+    ref = naive_symmetrize(dense.array)
+    assert np.allclose(symmetrize(dense).array, ref, rtol=1e-13, atol=1e-13)
+    assert np.allclose(materialize(symmetrize(a)).array, ref, rtol=1e-13, atol=1e-13)
 
 
 def sign_structured_roots(rng, m, n):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,17 @@ class TestGershgorin:
         assert disc.center == pytest.approx(5.91395)
         for lam in native_eigenvalues(a).lambdas:
             assert disc.contains(lam, tol=1e-9)
+
+    def test_radius_rounds_once(self):
+        # sum(|root|) - |c0| would round 2^53 + 1 to 2^53 and report radius 0
+        a = circulant_from_root(np.array([2.0**53, 1.0, 0.0]))
+        assert gershgorin(a).radius == 1.0
+        rng = np.random.default_rng(5)
+        for shape in [(3, 3, 3), (30, 30, 30)]:  # both sides of the fsum cutoff
+            root = rng.uniform(-10.0, 10.0, size=shape)
+            root[0, 0, 0] = -1e4
+            a = circulant_from_root(root)
+            assert gershgorin(a).radius == math.fsum(np.abs(root).reshape(-1)[1:])
 
 
 class TestEigenResidual:
