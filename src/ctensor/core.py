@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -249,6 +250,44 @@ def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
     return out.reshape((num,) + arr.shape[len(vecs):])
 
 
+def _rotations(x: np.ndarray) -> np.ndarray:
+    """Row k holds x rotated left by k positions."""
+    ar = np.arange(len(x))
+    return x[(ar[:, None] + ar) % len(x)]
+
+
+def _stored(a: Tensor) -> np.ndarray:
+    return a.root.array if isinstance(a, CirculantTensor) else a.array
+
+
+def _form(a: Tensor, x: np.ndarray, arr: np.ndarray | None = None):
+    """A x^m with ``arr`` of any dtype (Python ints in object arrays too) in
+    place of the stored array: a circulant's root contracts with the n
+    rotations of x, A x^m = sum_k x_k * rootform(x rotated left by k)."""
+    arr = _stored(a) if arr is None else arr
+    if isinstance(a, CirculantTensor):
+        return np.dot(x, _contract(arr, [_rotations(x)] * arr.ndim))
+    return _contract(arr, [x[None]] * arr.ndim)[0]
+
+
+def _scaled_ints(x) -> tuple[np.ndarray, int]:
+    """Python ints z (object array) and e <= 0 with x == z * 2^e exactly."""
+    sig, exp = np.frexp(np.asarray(x, dtype=float))
+    mant = (sig * 2.0**53).astype(np.int64)  # x == mant * 2^(exp - 53)
+    low = int(exp.min(where=mant != 0, initial=53)) - 53
+    return mant.astype(object) << np.where(mant != 0, exp - 53 - low, 0).astype(object), low
+
+
+def _exact_form(a: Tensor, w) -> Fraction:
+    """A w^m as an exact Fraction: the stored array and w scale to Python
+    ints (floats are dyadic) and run through ``_form`` in object arrays.
+    Random roots take about 2 ms at (m, n) = (4, 10), 0.12 s at (4, 30) and
+    1.6 s at (4, 60) on one core of a 2-core x86 machine."""
+    ints, e_a = _scaled_ints(_stored(a))
+    z, e_w = _scaled_ints(w)
+    return Fraction(int(_form(a, z, ints)), 1 << -(e_a + a.order * e_w))
+
+
 def apply_full(a: Tensor, x) -> float | complex:
     """Homogeneous form A x^m = sum a_{j1..jm} x_{j1}...x_{jm}.
 
@@ -258,10 +297,7 @@ def apply_full(a: Tensor, x) -> float | complex:
     x = np.asarray(x)
     if x.shape != (a.dim,):
         raise ValueError(f"expected vector of length {a.dim}")
-    if isinstance(a, DenseTensor):
-        val = _contract(a.array, [x[None]] * a.order)[0]
-    else:
-        val = np.dot(x, apply_partial(a, x))
+    val = _form(a, x)
     return complex(val) if np.iscomplexobj(x) else float(val)
 
 
@@ -277,9 +313,7 @@ def apply_partial(a: Tensor, x) -> np.ndarray:
         # the free mode moves last, the others contract as leading modes
         return _contract(np.moveaxis(a.array, 0, -1), [x[None]] * (a.order - 1))[0]
     # row k sees x rotated left by k-1 positions: one batched contraction
-    ar = np.arange(n)
-    rotations = x[(ar[:, None] + ar) % n]
-    return _contract(a.root.array, [rotations] * (a.order - 1))
+    return _contract(a.root.array, [_rotations(x)] * (a.order - 1))
 
 
 def matrix_product(a: Tensor, q: np.ndarray) -> DenseTensor:

@@ -133,30 +133,6 @@ def diag_root_form(spec: DiagRootSpec, x) -> float:
     return float(x @ (ct @ x ** (spec.order - 1)))
 
 
-def _exact_sign_form(spec: DiagRootSpec, x: np.ndarray) -> Fraction:
-    """Exact rational value of the form (float entries are dyadic rationals)."""
-    n = spec.dim
-    total = Fraction(0)
-    xv = [Fraction(float(v)) for v in x]
-    for j in range(n):
-        for l in range(n):
-            total += Fraction(spec.c[(l - j) % n]) * xv[j] * xv[l] ** (spec.order - 1)
-    return total
-
-
-def _exact_not_psd(spec: DiagRootSpec, a, witness, details) -> PsdVerdict:
-    """Emit a refutation whose witness value is certified by exact arithmetic.
-
-    The float form value can round to zero on hairline margins; the rational
-    evaluation cannot, and the emitting conditions are exact sums, so a
-    nonnegative exact value indicates an internal logic error.
-    """
-    exact = _exact_sign_form(spec, np.asarray(witness, dtype=float))
-    if exact >= 0:
-        raise AssertionError("refutation witness has nonnegative exact value")
-    return not_psd_verdict(a, witness, DIAG_ROOT, details, exact=exact)
-
-
 def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
     """Exact semi-definiteness decision for diagonal-root circulant tensors.
 
@@ -173,24 +149,23 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
     a = expand(spec)
     trail: dict = {"route": None}
 
+    def refute(route, witness):
+        trail["route"] = route
+        return not_psd_verdict(a, witness, DIAG_ROOT, trail) or inconclusive(**trail)
+
     c0 = float(c[0])
     lam0 = math.fsum(c)
     trail["c0"] = c0
     trail["lambda0"] = lam0
     if c0 < 0:
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        trail["route"] = "necessary-c0"
-        return _exact_not_psd(spec, a, e1, trail)
+        return refute("necessary-c0", np.eye(1, n)[0])
     if lam0 < 0:
-        trail["route"] = "necessary-lambda0"
-        return _exact_not_psd(spec, a, np.ones(n), trail)
+        return refute("necessary-lambda0", np.ones(n))
     if n % 2 == 0:
         lam_half = math.fsum(v * (-1.0) ** j for j, v in enumerate(c))
         trail["lambda_n_half"] = lam_half
         if lam_half < 0:
-            trail["route"] = "necessary-alternating"
-            return _exact_not_psd(spec, a, hat_one_k(n, 1), trail)
+            return refute("necessary-alternating", hat_one_k(n, 1))
 
     margin = math.fsum([c0] + [-abs(v) for v in c[1:]])
     trail["dominance_margin"] = margin
@@ -200,8 +175,7 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
 
     if np.all(c[1:] <= 0):
         # dominance is necessary here and it just failed
-        trail["route"] = "nonpositive-tail"
-        return _exact_not_psd(spec, a, np.ones(n), trail)
+        return refute("nonpositive-tail", np.ones(n))
 
     if n % 2 == 0:
         half = n // 2
@@ -210,9 +184,7 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
                 continue
             if is_k_alternative(c[1:], k):
                 # form value at the block witness is n * margin < 0
-                trail["route"] = f"block-alternating-k{k}"
-                witness = hat_one_k(n, k) / math.sqrt(n)
-                return _exact_not_psd(spec, a, witness, trail)
+                return refute(f"block-alternating-k{k}", hat_one_k(n, k) / math.sqrt(n))
 
     trail["route"] = "undecided"
     return inconclusive(**trail)
@@ -299,18 +271,6 @@ def _is_psd_exact(gram: list) -> bool:
     return True
 
 
-def _exact_doubly_value(g: dict, w: np.ndarray) -> Fraction:
-    """A w^m = sum(w) * g(w) in exact arithmetic."""
-    wf = [Fraction(float(v)) for v in w]
-    total = Fraction(0)
-    for e, c in g.items():
-        for wi, k in zip(wf, e):
-            if k:
-                c *= wi**k
-        total += c
-    return sum(wf) * total
-
-
 def _perturbed_witness(a, direction: np.ndarray) -> np.ndarray:
     """Nudge a negative direction off the sum(x)=0 hyperplane: the candidate
     with the least form value of the full tensor, the first of any tie."""
@@ -327,9 +287,8 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
     rational coefficients, is divided by sum(x).  A nonzero remainder means g
     does not vanish on the hyperplane sum(x) = 0, and a sign flip across it
     refutes.  Otherwise A x^m = sum(x)^2 * q(x); for m = 4 the quadratic q is
-    decided by an exact LDL^T of its Gram matrix.  Refutations here carry
-    the exact value sum(w) * g(w).  Anything else is left to the general
-    chain.
+    decided by an exact LDL^T of its Gram matrix.  Anything else is left to
+    the general chain.
     """
     if a.order % 2:
         raise ValueError("semi-definiteness needs even order")
@@ -358,11 +317,7 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
     if root.size > _EXACT_ROOT_CAP:
         return inconclusive(route="root-too-large", **trail)
 
-    g = _root_form(root)
-    q, r = _divide_by_sum(g)
-
-    def refute(w):
-        return not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail, exact=_exact_doubly_value(g, w))
+    q, r = _divide_by_sum(_root_form(root))
 
     if r:
         # g is nonzero somewhere on the hyperplane: the form changes sign
@@ -377,7 +332,8 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         i = int(np.argmax(np.abs(vals)))  # the first of the largest
         if vals[i] != 0.0:
             for t in [1e-4, 1e-3, 1e-2, 0.1]:
-                v = refute(z[i] - math.copysign(t, vals[i]) * np.ones(n))
+                w = z[i] - math.copysign(t, vals[i]) * np.ones(n)
+                v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
                 if v is not None:
                     return v
         trail["route"] = "hyperplane-witness-not-found"
@@ -389,7 +345,8 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         if _is_psd_exact(gram):
             return psd_verdict(DOUBLY_CIRCULANT, **trail)
         evecs = np.linalg.eigh(np.array(gram, dtype=float))[1]
-        v = refute(_perturbed_witness(a, evecs[:, 0]))
+        w = _perturbed_witness(a, evecs[:, 0])
+        v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
         if v is not None:
             return v
         trail["route"] = "quadratic-residual-unresolved"

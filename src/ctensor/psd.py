@@ -45,10 +45,6 @@ from .verdict import (
     psd_verdict,
 )
 
-# computed row/eigenvalue sums are declared negative only beyond this
-# relative slack; raw entries are compared exactly
-_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -64,39 +60,33 @@ def _require_even_circulant(a) -> None:
         raise ValueError("positive semi-definiteness is defined for even order")
 
 
-def _root_scale(a: CirculantTensor) -> float:
-    return max(1.0, _fsum(np.abs(a.root.array)))
-
-
 def necessary_checks(a: CirculantTensor):
     """The sign conditions every even-order PSD circulant tensor satisfies.
 
     Returns (checks, verdict): the list of individual results and, when one
     fails with a verifiable witness, the refuting verdict (witness 1_1, 1,
-    or the alternating vector respectively).
+    or the alternating vector respectively).  The eigenvalues are exactly
+    rounded sums, whose signs are exact: no nonzero float sum rounds to 0.
     """
     _require_even_circulant(a)
     n = a.dim
-    tol = _SUM_TOL * _root_scale(a)
     checks = []
     verdict = None
 
     c0 = a.diagonal_entry
     checks.append(CheckResult("diagonal_entry", c0, c0 >= 0))
     if c0 < 0 and verdict is None:
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        verdict = not_psd_verdict(a, e1, None, {"failed": "diagonal_entry"})
+        verdict = not_psd_verdict(a, np.eye(1, n)[0], None, {"failed": "diagonal_entry"})
 
     lam0 = first_native(a)
-    checks.append(CheckResult("first_native", lam0, lam0 >= -tol))
-    if lam0 < -tol and verdict is None:
+    checks.append(CheckResult("first_native", lam0, lam0 >= 0))
+    if lam0 < 0 and verdict is None:
         verdict = not_psd_verdict(a, np.ones(n), None, {"failed": "first_native"})
 
     if n % 2 == 0:
         lam_half = alternative_native(a)
-        checks.append(CheckResult("alternative_native", lam_half, lam_half >= -tol))
-        if lam_half < -tol and verdict is None:
+        checks.append(CheckResult("alternative_native", lam_half, lam_half >= 0))
+        if lam_half < 0 and verdict is None:
             verdict = not_psd_verdict(
                 a, hat_one_k(n, 1), None, {"failed": "alternative_native"}
             )
@@ -104,11 +94,14 @@ def necessary_checks(a: CirculantTensor):
 
 
 def sufficient_diag_dominance(a: CirculantTensor) -> PsdVerdict | None:
-    """Certificate: diagonal entry dominates the associated-tensor 1-norm."""
+    """Certificate: diagonal entry dominates the associated-tensor 1-norm.
+    Rounding is monotone, so only a tie of c0 with the once-rounded radius
+    needs the exact margin c0 - sum |off|."""
     _require_even_circulant(a)
-    radius = _fsum(np.abs(a.off_diagonal))
+    off = np.abs(a.off_diagonal)
+    radius = _fsum(off)
     c0 = a.diagonal_entry
-    if c0 >= radius:
+    if c0 > radius or (c0 == radius and _fsum(np.append(c0, -off)) >= 0):
         return psd_verdict(DIAG_DOMINANCE, c0=c0, associated_abs_sum=radius)
     return None
 
@@ -129,27 +122,21 @@ def exact_special_cases(a: CirculantTensor) -> PsdVerdict | None:
 
     Non-positive associated tensor: PSD iff the first native eigenvalue is
     nonnegative.  Negatively alternative associated tensor (m, n even):
-    PSD iff the alternative native eigenvalue is nonnegative.
+    PSD iff the alternative native eigenvalue is nonnegative.  Both are
+    exactly rounded sums, so their signs are exact.
     """
     _require_even_circulant(a)
     assoc = associated_array(a)
-    tol = _SUM_TOL * _root_scale(a)
     if np.all(assoc <= 0):
         lam0 = first_native(a)
-        if lam0 >= -tol:
+        if lam0 >= 0:
             return psd_verdict(NONPOS_ASSOC, lambda0=lam0)
-        v = not_psd_verdict(a, np.ones(a.dim), NONPOS_ASSOC, {"lambda0": lam0})
-        if v is not None:
-            return v
+        return not_psd_verdict(a, np.ones(a.dim), NONPOS_ASSOC, {"lambda0": lam0})
     if a.dim % 2 == 0 and is_negatively_alternative(assoc):
         lam_half = alternative_native(a)
-        if lam_half >= -tol:
+        if lam_half >= 0:
             return psd_verdict(NEG_ALT, lambda_n_half=lam_half)
-        v = not_psd_verdict(
-            a, hat_one_k(a.dim, 1), NEG_ALT, {"lambda_n_half": lam_half}
-        )
-        if v is not None:
-            return v
+        return not_psd_verdict(a, hat_one_k(a.dim, 1), NEG_ALT, {"lambda_n_half": lam_half})
     return None
 
 
@@ -207,7 +194,7 @@ def check_psd(
     params = params or AdmmParams(seed=seed, max_iters=1200, escalations=3)
     report = multi_start(a, params, restarts=restarts)
     best = report.best
-    scale = _root_scale(a)
+    scale = max(1.0, _fsum(np.abs(a.root.array)))
     trail["numeric_best"] = best.value
     trail["numeric_converged"] = best.converged
     if best.value < -1e-6 * scale:

@@ -1,11 +1,12 @@
 """Structural classifiers: sign patterns, B/B0 tensors, k-alternative vectors.
 
 Sign comparisons here are exact (no epsilon): the classified entries are user
-data, not computed quantities.  Row sums and entry averages are exactly
-rounded sums, so that decisions are order-independent: ``core._fsum`` returns
-math.fsum's value bit for bit, adding the integer halves of the floats'
-significands per binary exponent with np.bincount and rounding the exact
-total once.
+data, not computed quantities.  Row sums are exactly rounded sums, so that
+decisions are order-independent: ``core._fsum`` returns math.fsum's value bit
+for bit, adding the integer halves of the floats' significands per binary
+exponent with np.bincount and rounding the exact total once.  The B0/B
+inequalities between a row sum and its off-diagonal maximum are decided
+exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,51 +121,36 @@ class BClassReport:
     max_offdiag: float
 
 
-def _b_class_general(arr: np.ndarray) -> BClassReport:
-    n = arr.shape[0]
-    m = arr.ndim
-    row_sums = np.array([_fsum(arr[j]) for j in range(n)])
-    b0 = True
-    b = True
-    global_max = -math.inf
-    for j in range(n):
-        row = arr[j].copy()
-        diag_pos = (j,) * (m - 1)
-        diag_val = row[diag_pos]
-        row[diag_pos] = -math.inf  # exclude the single delta = 1 position
-        row_max = float(np.max(row)) if row.size > 1 else -math.inf
-        row[diag_pos] = diag_val
-        global_max = max(global_max, row_max)
-        avg = row_sums[j] / n ** (m - 1)
-        b0 &= row_sums[j] >= 0 and avg >= row_max
-        b &= row_sums[j] > 0 and avg > row_max
-    return BClassReport(bool(b0), bool(b), row_sums, global_max)
-
-
-def _b_class_circulant(a: CirculantTensor) -> BClassReport:
-    n, m = a.dim, a.order
-    row_sum = _fsum(a.root.array)
-    total = row_sum * n
-    off = a.off_diagonal
-    max_off = float(np.max(off)) if off.size else -math.inf
-    avg = total / n**m
-    b0 = total >= 0 and avg >= max_off
-    b = total > 0 and avg > max_off
-    return BClassReport(
-        bool(b0), bool(b), np.full(n, row_sum), max_off
-    )
+def _b_row(row: np.ndarray, diag: int) -> tuple[float, float, bool, bool]:
+    """Row sum S, off-diagonal maximum and the B0 and B tests of one flat row
+    tensor with its diagonal entry at ``diag``: S >= 0 and S >= N * max_off
+    (N = row.size), or both strict.  S and N * max_off are rounded once each
+    and rounding is monotone, so only a tie needs the exact S - N * max_off,
+    where N * max_off = hi + lo exactly (a product's error is a float)."""
+    total = _fsum(row)
+    max_off = float(max(row[:diag].max(initial=-math.inf), row[diag + 1:].max(initial=-math.inf)))
+    hi = row.size * max_off
+    margin = total - hi  # unless 0, of the sign of S - N * max_off
+    if total == hi:
+        lo = Fraction(max_off) * row.size - Fraction(hi)
+        margin = _fsum(np.append(row, (-hi, -float(lo))))
+    return total, max_off, total >= 0 and margin >= 0, total > 0 and margin > 0
 
 
 def b_class(t: Tensor) -> BClassReport:
-    """B0/B classification.
+    """B0/B classification, decided exactly (see ``_b_row``).
 
-    General tensors are tested row by row; circulant input uses the
-    equivalent two-condition test on the root (total sum and the global
-    off-diagonal maximum).
+    General tensors are tested row by row.  A circulant's row tensors all
+    hold the root's entries, so its root alone is tested, with the diagonal
+    entry at flat index 0.
     """
     if isinstance(t, CirculantTensor):
-        return _b_class_circulant(t)
-    return _b_class_general(t.array)
+        total, max_off, b0, b = _b_row(t.root.array.reshape(-1), 0)
+        return BClassReport(b0, b, np.full(t.dim, total), max_off)
+    n, m = t.dim, t.order
+    step = sum(n**k for k in range(m - 1))  # row j's diagonal: flat j * step
+    sums, maxes, b0s, bs = zip(*(_b_row(t.array[j].reshape(-1), j * step) for j in range(n)))
+    return BClassReport(all(b0s), all(bs), np.array(sums), max(maxes))
 
 
 def is_k_alternative(c, k: int) -> bool:

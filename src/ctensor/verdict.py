@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_full
+from .core import _exact_form, _form, _stored, apply_full
 
 PSD = "psd"
 PSD_STRICT = "psd_strict"
@@ -28,9 +28,11 @@ NUMERIC = "numeric_evidence"
 class PsdVerdict:
     """Decision plus either a certificate tag or a refuting witness.
 
-    A ``not_psd`` verdict always carries a witness x whose form value
-    A x^m is negative (re-checked at construction by the emitters).
-    Numeric evidence alone never yields ``psd``, only ``inconclusive``.
+    A ``not_psd`` verdict always carries a witness x whose form value A x^m
+    is negative, exactly where the float value is within rounding of zero
+    (``not_psd_verdict``).  ``psd`` comes only from a certificate decided
+    exactly or from an exact route; numeric evidence alone never yields
+    ``psd``, only ``inconclusive``.
     """
 
     decision: str
@@ -55,17 +57,41 @@ def inconclusive(**details) -> PsdVerdict:
     return PsdVerdict(INCONCLUSIVE, None, None, dict(details))
 
 
-def not_psd_verdict(a, witness, certificate: str | None, details: dict,
-                    exact=None) -> PsdVerdict | None:
-    """The refutation of ``a`` by ``witness`` if its re-evaluated form value
-    is negative, else None.  A rational value ``exact`` from the caller decides
-    instead, since the float value can round to zero on hairline margins."""
+def _rounding_band(a, w: np.ndarray) -> float:
+    """A bound on |fl(A w^m) - A w^m| for the float value of ``apply_full``.
+
+    ``apply_full`` runs m contractions, each an n-term sum of products in any
+    order, so a term a_{j1..jm} w_{j1}...w_{jm} meets K = mn roundings.  With
+    fl(x op y) = (x op y)(1 + d) + e, |d| <= u = 2^-53, e = 0 for additions
+    and |e| <= 2^-1075 for products (gradual underflow), the product and sum
+    chain errs by at most g M + U (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), with g = Ku / (1 - Ku) and
+    M = |A|(|w|)^m.  U covers underflow: at most n + ... + n^m <= 2 n^m
+    products, each e carried into the result by at most m factors w_j and a
+    product of (1 + d) below 2, so U = n^m 2^-1073 max(1, |w|_max)^m.  The
+    float M' of M has the same error bound, so M <= (M' + U) / (1 - g), and
+    with g <= 1/3 the error is at most 1.5 g (M' + U) + U <= 2 (g M' + U),
+    the value returned (the spare half of g M' covers its own rounding).
+    """
+    m, n = a.order, a.dim
+    gamma = m * n * 2.0**-53 / (1 - m * n * 2.0**-53)
+    mag = float(_form(a, np.abs(w), np.abs(_stored(a))))
+    underflow = n**m * 2.0**-1073 * max(1.0, np.max(np.abs(w))) ** m
+    return 2 * (gamma * mag + underflow)
+
+
+def not_psd_verdict(a, witness, certificate: str | None, details: dict) -> PsdVerdict | None:
+    """The refutation of ``a`` by ``witness`` if its form value is negative,
+    else None.  The float value decides outside ``_rounding_band``; inside
+    it the exact value (``core._exact_form``) decides and is recorded as
+    ``witness_value_exact``."""
     witness = np.asarray(witness, dtype=float)
-    value = float(apply_full(a, witness))
+    value = deciding = float(apply_full(a, witness))
     details = dict(details)
-    if exact is not None:
-        details["witness_value_exact"] = float(exact)
-    if (value if exact is None else exact) >= 0:
+    if abs(value) <= _rounding_band(a, witness):
+        deciding = _exact_form(a, witness)
+        details["witness_value_exact"] = float(deciding)
+    if not deciding < 0:
         return None
     details["witness_value"] = value
     return PsdVerdict(NOT_PSD, certificate, witness, details)

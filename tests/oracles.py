@@ -5,6 +5,7 @@ it shares no code path with the implementations under test.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +32,26 @@ def naive_form(arr: np.ndarray, x) -> complex:
         for i in idx:
             prod = prod * x[i]
         total += prod
+    return total
+
+
+def exact_dense_form(a, w) -> Fraction:
+    """A w^m in rational arithmetic over every index tuple of the full tensor
+    (float entries are dyadic rationals); circulant entries by the index
+    shift a_{j1..jm} = root[j2 - j1, ..., jm - j1 (mod n)]."""
+    n, m = a.dim, a.order
+    wf = [Fraction(float(v)) for v in w]
+    total = Fraction(0)
+    for idx in itertools.product(range(n), repeat=m):
+        if hasattr(a, "root"):
+            v = a.root.array[tuple((j - idx[0]) % n for j in idx[1:])]
+        else:
+            v = a.array[idx]
+        if v:
+            term = Fraction(float(v))
+            for j in idx:
+                term *= wf[j]
+            total += term
     return total
 
 

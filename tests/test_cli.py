@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +218,26 @@ class TestReproduce:
     def test_unknown_target_exit2(self, capsys):
         rc = dispatch(["reproduce", "example9"])
         assert rc == 2
+
+
+class TestModuleEntry:
+    """``python -m ctensor.cli`` runs the same dispatch as the script."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ctensor.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+
+    def test_missing_file_exit2(self, tmp_path):
+        out = self.run_module("psd", str(tmp_path / "absent.json"))
+        assert out.returncode == 2
+        assert out.stdout == "" and out.stderr.startswith("ctensor: ")
+
+    def test_eig_matches_dispatch(self, example1_path, capsys):
+        rc, expected = run_cli(["eig", example1_path], capsys)
+        out = self.run_module("eig", example1_path)
+        assert rc == out.returncode == 0
+        assert out.stdout == expected

@@ -5,7 +5,6 @@ every tensor of the sweep, as the symbolic (sympy) implementation decided
 them; the rational implementation must reproduce every one.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -17,18 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ctensor.diag_root as dr
+import ctensor.verdict as verdict_mod
 from ctensor import presets
-from ctensor.core import apply_full, circulant_from_root, materialize
+from ctensor.core import _exact_form, apply_full, circulant_from_root, materialize
 from ctensor.diag_root import (
+    DiagRootSpec,
     _divide_by_sum,
-    _exact_doubly_value,
     _is_psd_exact,
     _root_form,
     doubly_psd,
+    expand,
 )
 from ctensor.verdict import DOUBLY_CIRCULANT as CERT
 from ctensor.verdict import INCONCLUSIVE, NOT_PSD, PSD
+from oracles import exact_dense_form
 
 
 def _circulant_of(c: np.ndarray) -> np.ndarray:
@@ -227,37 +228,52 @@ def test_pinned_verdict(name, a):
     v = doubly_psd(a)
     assert (v.decision, v.certificate, v.details.get("route")) == EXPECTED[name]
     if v.decision == NOT_PSD:
+        # every refutation, the order-(m-2) recursion's included
         assert apply_full(a, v.witness) < 0
-        if v.details.get("route"):  # not the order-(m-2) recursion
-            assert v.details["witness_value_exact"] < 0
+        assert exact_dense_form(a, v.witness) < 0
 
 
-def _exact_dense_form(a, w) -> Fraction:
-    arr = materialize(a).array
-    wf = [Fraction(float(v)) for v in w]
-    total = Fraction(0)
-    for idx in itertools.product(range(a.dim), repeat=a.order):
-        term = Fraction(float(arr[idx]))
-        for i in idx:
-            term *= wf[i]
-        total += term
-    return total
+def _spread_root(rng, shape) -> np.ndarray:
+    # magnitudes over 2^-600..2^600, a few exact zeros
+    root = rng.uniform(-1.0, 1.0, size=shape) * 2.0 ** rng.integers(-600, 600, size=shape)
+    root[rng.random(shape) < 0.2] = 0.0
+    return root
 
 
-@pytest.mark.parametrize("name", ["example4_case1", "random-n3-0", "circulant-n4-1"])
+def _exact_form_cases():
+    rng = np.random.default_rng(5)
+    cases = {name: dict(CASES)[name] for name in ("example4_case1", "random-n3-0", "circulant-n4-1")}
+    cases["diag-root-4-5"] = expand(DiagRootSpec(4, rng.uniform(-10.0, 10.0, size=5)))
+    cases["random-4-3"] = circulant_from_root(rng.uniform(-10.0, 10.0, size=(3, 3, 3)))
+    cases["random-6-3"] = circulant_from_root(rng.uniform(-10.0, 10.0, size=(3,) * 5))
+    cases["spread-4-3"] = circulant_from_root(_spread_root(rng, (3, 3, 3)))
+    return cases
+
+
+EXACT_CASES = _exact_form_cases()
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
 def test_exact_value_is_the_dense_form(name, rng):
-    a = dict(CASES)[name]
-    g = _root_form(a.root.array)
+    # circulant and materialized input, witnesses with widely spread
+    # magnitudes and an exact zero
+    a = EXACT_CASES[name]
     for _ in range(3):
-        w = rng.normal(size=a.dim)
-        assert _exact_doubly_value(g, w) == _exact_dense_form(a, w)
+        w = rng.normal(size=a.dim) * 2.0 ** rng.integers(-300, 300, size=a.dim)
+        w[rng.integers(a.dim)] = 0.0
+        expected = exact_dense_form(a, w)
+        assert _exact_form(a, w) == expected
+        assert _exact_form(materialize(a), w) == expected
 
 
 @pytest.mark.parametrize("name", ["example4_case1", "random-n3-0"])
 def test_exact_value_decides(monkeypatch, name):
-    # a witness whose exact value is 0 is not emitted, whatever the float says
+    # a witness whose exact value is 0 is not emitted, whatever the float
+    # says: every witness is put inside the rounding band, so the exact
+    # value decides each one
     a = dict(CASES)[name]
-    monkeypatch.setattr(dr, "_exact_doubly_value", lambda g, w: Fraction(0))
+    monkeypatch.setattr(verdict_mod, "_rounding_band", lambda a, w: float("inf"))
+    monkeypatch.setattr(verdict_mod, "_exact_form", lambda a, w: Fraction(0))
     v = doubly_psd(a)
     assert v.decision == INCONCLUSIVE
     assert v.details["route"] in ("quadratic-residual-unresolved", "hyperplane-witness-not-found")

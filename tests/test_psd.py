@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import ctensor.verdict as verdict_mod
 from ctensor import presets
 from ctensor.core import (
     DenseTensor,
@@ -20,9 +24,10 @@ from ctensor.psd import (
     sufficient_diag_dominance,
 )
 
-from ctensor.verdict import not_psd_verdict
+from ctensor.structure import b_class
+from ctensor.verdict import _rounding_band, not_psd_verdict
 
-from oracles import random_circulant
+from oracles import exact_dense_form, random_circulant
 
 
 class TestNecessaryChecks:
@@ -71,13 +76,41 @@ class TestRefutationEmitter:
         assert v.decision == "not_psd" and v.certificate == "tag"
         assert v.details == {"k": 1, "witness_value": apply_full(a, np.ones(2))}
 
-    def test_exact_value_overrides_rounding(self):
-        from fractions import Fraction
+    # lambda0 = -2^-60 exactly, and the float form at 1 rounds to 0
+    HAIRLINE = DiagRootSpec(4, [1.0, -(2.0**-60), -1.0])
 
-        a = expand(DiagRootSpec(4, np.array([1.0, 1.0])))
-        assert not_psd_verdict(a, np.ones(2), None, {}, exact=Fraction(1)) is None
-        v = not_psd_verdict(a, np.ones(2), None, {}, exact=Fraction(-1, 2**70))
-        assert v.details["witness_value"] > 0 > v.details["witness_value_exact"]
+    def test_exact_value_overrides_rounding(self):
+        v = not_psd_verdict(expand(self.HAIRLINE), np.ones(3), "tag", {})
+        assert v.decision == "not_psd" and v.certificate == "tag"
+        assert v.details["witness_value"] == 0.0
+        assert v.details["witness_value_exact"] == -3 * 2.0**-60
+
+    def test_exact_value_decides(self, monkeypatch):
+        # the same in-band witness with an exact value of 0 is not emitted
+        monkeypatch.setattr(verdict_mod, "_exact_form", lambda a, w: Fraction(0))
+        assert not_psd_verdict(expand(self.HAIRLINE), np.ones(3), "tag", {}) is None
+
+    def test_exact_value_only_in_band(self, monkeypatch):
+        def fail(a, w):
+            raise AssertionError("exact evaluation outside the rounding band")
+
+        monkeypatch.setattr(verdict_mod, "_exact_form", fail)
+        a = expand(DiagRootSpec(4, np.array([1.0, -3.0])))
+        v = not_psd_verdict(a, np.ones(2), None, {})
+        assert "witness_value_exact" not in v.details
+        assert not_psd_verdict(a, np.array([1.0, 0.0]), None, {}) is None
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**-1060, 2.0**900],
+                             ids=["1", "2^-1000", "2^-1060", "2^900"])
+    def test_rounding_band_bounds_the_error(self, rng, scale):
+        # random roots and witnesses, down into gradual underflow
+        for _ in range(20):
+            m, n = int(rng.choice([2, 4, 6])), int(rng.integers(2, 5))
+            a = circulant_from_root(rng.uniform(-1.0, 1.0, size=(n,) * (m - 1)) * scale)
+            for t in (a, materialize(a)):
+                w = rng.normal(size=n) * 2.0 ** rng.integers(-3, 3, size=n)
+                err = Fraction(apply_full(t, w)) - exact_dense_form(t, w)
+                assert abs(err) <= Fraction(_rounding_band(t, w))
 
 
 class TestDiagDominance:
@@ -143,17 +176,23 @@ class TestExactSpecialCases:
         assert apply_full(a, v.witness) == pytest.approx(4 * (-4.0))
 
     def test_cor4_matches_lambda0_sign_exactly(self, rng):
-        for _ in range(50):
+        # c0 drawn at random, cancelling a dyadic tail exactly, or cancelling
+        # a random tail up to the rounding of its sum (either sign)
+        zeros = 0
+        for i in range(60):
             n = int(rng.integers(2, 5))
-            c = np.concatenate([[rng.uniform(0, 5)], -np.abs(rng.normal(size=n - 1))])
-            a = expand(DiagRootSpec(4, c))
-            v = exact_special_cases(a)
+            if i % 3 == 1:
+                tail = -rng.integers(0, 9, size=n - 1) / 8.0
+            else:
+                tail = -np.abs(rng.normal(size=n - 1))
+            c0 = rng.uniform(0, 5) if i % 3 == 0 else -math.fsum(tail)
+            c = np.concatenate([[c0], tail])
+            v = exact_special_cases(expand(DiagRootSpec(4, c)))
+            lam0 = sum(map(Fraction, c))
+            zeros += lam0 == 0
             assert v is not None
-            lam0 = c.sum()
-            if lam0 >= 1e-12:
-                assert v.decision == "psd"
-            elif lam0 <= -1e-12:
-                assert v.decision == "not_psd"
+            assert v.decision == ("psd" if lam0 >= 0 else "not_psd")
+        assert zeros >= 20
 
     def test_negatively_alternative_boundary(self):
         # negatively alternative associated tensor with alternating sum zero
@@ -165,6 +204,149 @@ class TestExactSpecialCases:
         if is_negatively_alternative(associated_array(a)):
             v = exact_special_cases(a)
             assert v is not None
+
+
+def _signed_ones(sign_pattern: bool) -> np.ndarray:
+    root = -np.ones((2, 2, 2))
+    if sign_pattern:
+        root = -((-1.0) ** np.indices((2, 2, 2)).sum(axis=0))
+    return root
+
+
+def _dominance_root(offs) -> np.ndarray:
+    root = np.zeros((4, 4, 4))
+    root[0, 0, 0] = 1.0
+    root[0, 0, 2], root[0, 2, 2] = offs
+    return root
+
+
+def _b_root(c0: float) -> np.ndarray:
+    root = np.ones((3, 3, 3))
+    root[0, 0, 0] = c0
+    return root
+
+
+# roots certified psd through a rounded comparison, though not PSD: the
+# exact form is negative at the given point
+NOT_PSD_HAIRLINE = {
+    # lambda0 = -2^-44: A 1^4 = -2^-43
+    "nonpos_associated": (_signed_ones(False), 7 - 2.0**-44, np.ones(2)),
+    # lambda_{n/2} = -2^-44
+    "negatively_alternative": (_signed_ones(True), 7 - 2.0**-44, np.array([1.0, -1.0])),
+    # c0 = 1 against off-diagonal magnitudes 1 + 2^-60: A s^4 = -2^-58
+    "diag_dominance": (_dominance_root((1.0, -(2.0**-60))), 1.0, np.array([1.0, 1.0, -1.0, -1.0])),
+    # row sum 27 - 2^-52 against 27 * max_off = 27: A w^4 = -2^-51
+    "b0": (_b_root(1 - 2.0**-52), 1 - 2.0**-52, np.array([1.0, -1.0, 0.0])),
+}
+
+
+def _hairline_tensor(name):
+    root, c0, point = NOT_PSD_HAIRLINE[name]
+    root = root.copy()
+    root[0, 0, 0] = c0
+    return circulant_from_root(root), point
+
+
+class TestHairlineCertificates:
+    """Certificate inequalities decided exactly, on both sides of zero."""
+
+    @pytest.mark.parametrize("name", list(NOT_PSD_HAIRLINE))
+    def test_point_is_negative(self, name):
+        a, point = _hairline_tensor(name)
+        assert exact_dense_form(a, point) < 0
+
+    @pytest.mark.parametrize("mode", ["certificates_only", "with_numeric"])
+    @pytest.mark.parametrize("name", list(NOT_PSD_HAIRLINE))
+    def test_not_certified(self, name, mode):
+        a, _ = _hairline_tensor(name)
+        v = check_psd(a, mode=mode, restarts=6)
+        assert not v.is_psd
+        if v.decision == "not_psd":
+            assert exact_dense_form(a, v.witness) < 0
+
+    @pytest.mark.parametrize("sign_pattern,cert", [(False, "nonpos_associated"),
+                                                   (True, "negatively_alternative")])
+    def test_sign_structured(self, sign_pattern, cert):
+        for c0, decision in [(7 - 2.0**-44, "not_psd"), (7.0, "psd"), (7 + 2.0**-44, "psd")]:
+            root = _signed_ones(sign_pattern)
+            root[0, 0, 0] = c0
+            a = circulant_from_root(root)
+            v = exact_special_cases(a)
+            assert (v.decision, v.certificate) == (decision, cert)
+            if decision == "not_psd":
+                assert exact_dense_form(a, v.witness) < 0
+                _, refuted = necessary_checks(a)
+                assert refuted is not None and exact_dense_form(a, refuted.witness) < 0
+
+    @pytest.mark.parametrize("offs,certified", [
+        ((1.0, -(2.0**-60)), False),  # radius 1 + 2^-60 rounds to c0 = 1
+        ((1 - 2.0**-53, -(2.0**-54 + 2.0**-60)), True),  # 1 - 2^-54 + 2^-60 rounds to 1
+        ((0.5, 0.5), True),  # exact equality
+    ], ids=["over", "under", "equal"])
+    def test_dominance_tie(self, offs, certified):
+        v = sufficient_diag_dominance(circulant_from_root(_dominance_root(offs)))
+        assert (v is not None) is certified
+
+    @pytest.mark.parametrize("c0,b0,b", [
+        (1 - 2.0**-52, False, False),  # row sum 27 - 2^-52 rounds to 27
+        (1.0, True, False),  # row sum equals 27 * max_off
+        (1 + 2.0**-52, True, True),  # row sum 27 + 2^-52 rounds to 27
+    ], ids=["below", "equal", "above"])
+    def test_b_class_tie(self, c0, b0, b):
+        a = circulant_from_root(_b_root(c0))
+        for t in (a, materialize(a)):
+            report = b_class(t)
+            assert (report.is_b0, report.is_b) == (b0, b)
+        v = sufficient_b_class(a)
+        assert (v and v.certificate) == (("b" if b else "b0") if b0 else None)
+
+    def test_b_class_matches_rational_oracle(self, rng):
+        # diagonal entries at N * max_off - (off-diagonal sum), rounded and
+        # moved by a few ulps: the rounded comparison ties often
+        ties = 0
+        for _ in range(300):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            row = rng.uniform(-1.0, 1.0, size=n**k) * 2.0 ** rng.integers(-3, 3)
+            row[0] = 0.0
+            top = float(row[1:].max())
+            exact = row.size * Fraction(top) - sum(map(Fraction, row[1:]))
+            row[0] = float(exact)
+            for _ in range(int(rng.integers(-2, 3))):
+                row[0] = np.nextafter(row[0], np.sign(rng.normal()) * np.inf)
+            a = circulant_from_root(row.reshape((n,) * k))
+            total = sum(map(Fraction, row))
+            margin = total - row.size * Fraction(top)
+            ties += math.fsum(row) == row.size * top
+            for t in (a, materialize(a)):
+                report = b_class(t)
+                assert report.is_b0 == (total >= 0 and margin >= 0)
+                assert report.is_b == (total > 0 and margin > 0)
+        assert ties >= 50
+
+    def test_in_band_refutations_carry_exact_value(self, rng):
+        # hairline refutations from the chain: the exact value is recorded
+        # exactly when the float value lies in the rounding band
+        tensors = [_hairline_tensor(name)[0] for name in NOT_PSD_HAIRLINE]
+        tensors.append(expand(TestRefutationEmitter.HAIRLINE))
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            root = rng.normal(size=(n,) * 3)
+            root[0, 0, 0] = 0.0
+            root *= -np.sign(root.sum())
+            root[0, 0, 0] = -math.fsum(root.reshape(-1))  # lambda0 within an ulp of 0
+            tensors.append(circulant_from_root(root))
+        in_band = 0
+        for a in tensors:
+            v = check_psd(a, mode="certificates_only")
+            if v.decision != "not_psd":
+                continue
+            inside = abs(v.details["witness_value"]) <= _rounding_band(a, v.witness)
+            in_band += inside
+            assert ("witness_value_exact" in v.details) == inside
+            assert exact_dense_form(a, v.witness) < 0
+            if inside:
+                assert v.details["witness_value_exact"] < 0
+        assert in_band >= 10
 
 
 class TestCheckPsdChain:
