@@ -143,19 +143,38 @@ def materialize(a: Tensor, budget: int | None = None) -> DenseTensor:
         raise BudgetError(
             f"dense materialization of {a.dim}^{a.order} entries exceeds budget {cap}"
         )
-    rows = [row_tensor(a, k).array for k in range(1, a.dim + 1)]
-    return DenseTensor(np.stack(rows, axis=0))
+    # row k (0-based) is the root with every index shifted back by k: one
+    # wrapping take per axis, the last one written in place
+    root, n = a.root.array, a.dim
+    out = np.empty((n,) * a.order)
+    for k in range(n):
+        back = np.arange(-k, n - k)
+        row = root
+        for axis in range(root.ndim - 1):
+            row = row.take(back, axis=axis, mode="wrap")
+        row.take(back, axis=root.ndim - 1, out=out[k], mode="wrap")
+    return DenseTensor(out)
 
 
 def is_circulant(t: Tensor, tol: float = 0.0) -> bool:
-    """True iff entries are invariant under the simultaneous cyclic index shift."""
+    """True iff entries are invariant under the simultaneous cyclic index
+    shift: |a(j) - a(j - 1)| <= tol everywhere, where j - 1 steps every index
+    back cyclically.  Rows 1..n-1 meet rows 0..n-2, and row 0 meets row n-1,
+    each with a wrapping take on the other axes; row 0 goes first, so most
+    non-circulant tensors fail on 1/n of the array."""
     if isinstance(t, CirculantTensor):
         return True
     arr = t.array
     if arr.ndim < 2:
         raise ValueError("circulant test needs order >= 2")
-    shifted = np.roll(arr, (1,) * arr.ndim, axis=tuple(range(arr.ndim)))
-    return bool(np.max(np.abs(arr - shifted)) <= tol)
+    back = np.arange(-1, arr.shape[0] - 1)
+    for here, prev in ((arr[:1], arr[-1:]), (arr[1:], arr[:-1])):
+        for axis in range(1, arr.ndim):
+            prev = prev.take(back, axis=axis, mode="wrap")
+        gap = np.subtract(here, prev, out=prev)
+        if not np.max(np.abs(gap, out=gap)) <= tol:
+            return False
+    return True
 
 
 def is_toeplitz(t: Tensor, tol: float = 0.0) -> bool:
@@ -178,58 +197,6 @@ def as_circulant(t: Tensor, tol: float = 0.0) -> CirculantTensor:
     if not is_circulant(t, tol):
         raise ValueError("tensor is not circulant within tolerance")
     return CirculantTensor(DenseTensor(t.array[0]))
-
-
-# _fsum: up to this many entries math.fsum itself is faster (the measured
-# crossover is about 1000)
-_FSUM_CUTOFF = 1024
-# entries per bincount: 2^14 halves below 2^27 each sum to less than 2^53;
-# the chunk's four work arrays stay small (the fastest size measured)
-_FSUM_CHUNK = 2**14
-# np.frexp exponents of nonzero finite doubles lie in [-1073, 1024]
-_FREXP_MIN, _FREXP_SPAN = -1073, 2098
-
-
-def _fsum(values) -> float:
-    """math.fsum(values), bit for bit, at array speed.
-
-    A finite double is sig * 2^(e - 53), with np.frexp's exponent e and an
-    integer significand |sig| < 2^53, which splits into two halves held
-    exactly in floats: hi * 2^27 + lo, with |hi| <= 2^26 and 0 <= lo < 2^27.
-    Per chunk of 2^14 entries np.bincount adds each half by exponent; every
-    partial sum stays below 2^53, so it is exact.  The buckets combine into
-    one Python int, and one correctly rounded int division makes the float.
-    Unlike math.fsum this has no intermediate overflow: only an exact sum
-    beyond the float range raises OverflowError.  (Private, like
-    ``_contract``: the benchmark's tracer wraps every public function here.)
-    """
-    x = np.asarray(values, dtype=float).reshape(-1)
-    if x.size <= _FSUM_CUTOFF:
-        return math.fsum(x)
-    hi_sums = np.zeros(_FREXP_SPAN, np.int64)
-    lo_sums = np.zeros(_FREXP_SPAN, np.int64)
-    for start in range(0, x.size, _FSUM_CHUNK):
-        part = x[start : start + _FSUM_CHUNK]
-        if not np.isfinite(part).all():  # inf and nan: math.fsum's rules
-            return math.fsum(x)
-        sig, exp = np.frexp(part)
-        bucket = np.subtract(exp, _FREXP_MIN, dtype=np.intp)
-        hi = sig * 2.0**26
-        np.floor(hi, out=hi)
-        sig *= 2.0**53
-        hi_sums += np.bincount(bucket, hi, _FREXP_SPAN).astype(np.int64)
-        hi *= 2.0**27
-        sig -= hi  # the low half
-        lo_sums += np.bincount(bucket, sig, _FREXP_SPAN).astype(np.int64)
-    used = np.flatnonzero(hi_sums | lo_sums)
-    if not used.size:  # all zeros: the sign of the zero is math.fsum's
-        return math.fsum(x)
-    low = int(used[0])
-    total = 0
-    for e in used.tolist():
-        total += ((int(hi_sums[e]) << 27) + int(lo_sums[e])) << (e - low)
-    shift = low + _FREXP_MIN - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:

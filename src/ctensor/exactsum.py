@@ -1,0 +1,108 @@
+"""Exactly rounded summation of float arrays: math.fsum's value at array speed.
+
+Kept apart from the tensor code: the analysis layers round their root sums,
+row sums and radii through ``_fsum`` so that every decision is independent of
+the summation order.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# _fsum: up to this many entries math.fsum over a list is faster (the
+# measured crossover lies at 700 to 1000 entries, later for wider spreads)
+_FSUM_CUTOFF = 1024
+# entries per extraction chunk: its two work arrays stay in cache
+_FSUM_CHUNK = 2**14
+# extraction passes per chunk before the bucket path takes over: each pass
+# takes about 38 bits of the chunk's exponent range
+_FSUM_PASSES = 8
+# extraction runs while e + bit length of (N + 1) stays at most this, with
+# max|x| < 2^e: sigma stays finite and the partials' sum far from overflow
+_FSUM_MAX_EXP = 1020
+# np.frexp exponents of nonzero finite doubles lie in [-1073, 1024]
+_FREXP_MIN, _FREXP_SPAN = -1073, 2098
+
+
+def _fsum(values) -> float:
+    """math.fsum(values), bit for bit, at array speed.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, Accurate
+    floating-point summation part I, SIAM J. Sci. Comput. 31(1), 2008): for a
+    chunk p of N entries and sigma = 2^k >= 2^b * max|p| with 2^b >= N + 2,
+    q = (sigma + p) - sigma takes p's leading bits, p - q is exact, and every
+    q is a multiple of 2^-53 * sigma with sum(|q|) < sigma, so sum(q) is
+    exact in any order.  Passes repeat on the remainder until it is zero, and
+    math.fsum rounds the few exact partials once.  Inputs the passes cannot
+    take (max|x| near the float range, or a spread wider than the pass
+    bound) go to ``_fsum_buckets``.  Unlike math.fsum this has no
+    intermediate overflow: only an exact sum beyond the float range raises
+    OverflowError.
+    """
+    x = np.asarray(values, dtype=float).reshape(-1)
+    if x.size <= _FSUM_CUTOFF:
+        return math.fsum(x.tolist())
+    size_bits = (x.size + 1).bit_length()
+    parts = []
+    for start in range(0, x.size, _FSUM_CHUNK):
+        p = x[start : start + _FSUM_CHUNK].copy()
+        q = np.empty_like(p)
+        bits = (p.size + 1).bit_length()
+        for _ in range(_FSUM_PASSES):
+            top = max(p.max(), -p.min())
+            if top == 0:
+                break
+            if not math.isfinite(top):  # inf and nan: math.fsum's rules
+                return math.fsum(x)
+            exp = math.frexp(top)[1]
+            if exp + size_bits > _FSUM_MAX_EXP:
+                return _fsum_buckets(x)
+            sigma = math.ldexp(1.0, exp + bits)
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p -= q
+            parts.append(float(q.sum()))
+        else:
+            if p.any():
+                return _fsum_buckets(x)
+    if not parts:  # all zeros: the sign of the zero is math.fsum's
+        return math.fsum([-0.0] if np.signbit(x).all() else [0.0])
+    return math.fsum(parts)
+
+
+def _fsum_buckets(x: np.ndarray) -> float:
+    """``_fsum`` of a flat float array with a nonzero entry, by integer buckets.
+
+    A finite double is sig * 2^(e - 53), with np.frexp's exponent e and an
+    integer significand |sig| < 2^53, which splits into two halves held
+    exactly in floats: hi * 2^27 + lo, with |hi| <= 2^26 and 0 <= lo < 2^27.
+    Per chunk of 2^14 entries np.bincount adds each half by exponent; every
+    partial sum stays below 2^53, so it is exact.  The buckets combine into
+    one Python int, and one correctly rounded int division makes the float.
+    """
+    hi_sums = np.zeros(_FREXP_SPAN, np.int64)
+    lo_sums = np.zeros(_FREXP_SPAN, np.int64)
+    for start in range(0, x.size, _FSUM_CHUNK):
+        part = x[start : start + _FSUM_CHUNK]
+        if not np.isfinite(part).all():  # inf and nan: math.fsum's rules
+            return math.fsum(x)
+        sig, exp = np.frexp(part)
+        bucket = np.subtract(exp, _FREXP_MIN, dtype=np.intp)
+        hi = sig * 2.0**26
+        np.floor(hi, out=hi)
+        sig *= 2.0**53
+        hi_sums += np.bincount(bucket, hi, _FREXP_SPAN).astype(np.int64)
+        hi *= 2.0**27
+        sig -= hi  # the low half
+        lo_sums += np.bincount(bucket, sig, _FREXP_SPAN).astype(np.int64)
+    used = np.flatnonzero(hi_sums | lo_sums)
+    if not used.size:  # x has nonzero entries: an exact zero is math.fsum's +0.0
+        return 0.0
+    low = int(used[0])
+    total = 0
+    for e in used.tolist():
+        total += ((int(hi_sums[e]) << 27) + int(lo_sums[e])) << (e - low)
+    shift = low + _FREXP_MIN - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)

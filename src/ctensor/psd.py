@@ -19,11 +19,11 @@ from .admm import AdmmParams, multi_start
 from .core import (
     CirculantTensor,
     _contract,
-    _fsum,
     associated_array,
     materialize,
 )
 from .diag_root import DiagRootSpec, diag_root_psd, diag_root_vector, doubly_psd
+from .exactsum import _fsum
 from .spectral import alternative_native, first_native
 from .structure import (
     b_class,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CirculantTensor, _fsum, apply_partial, associated_array
-from .structure import SignClass, classify_sign_array, parity_signs
+from .core import CirculantTensor, apply_partial, associated_array
+from .exactsum import _fsum
+from .structure import SignClass, _parity_signed, classify_sign_array
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,14 @@ def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     because the polynomial is only ever evaluated at n-th roots of unity.
     """
     root, n = a.root.array, a.dim
-    # one bincount per leading index i over the other indices' sums, shifted by i
+    # one bincount per leading index i over the other indices' sums, added
+    # into out shifted by i (out[s] gets bin s - i mod n) with two slice-adds
     rest = (np.indices(root.shape[1:]).sum(axis=0) % n).reshape(-1)
     out = np.zeros(n)
     for i in range(n):
-        out += np.roll(np.bincount(rest, weights=root[i].reshape(-1), minlength=n), i)
+        bins = np.bincount(rest, weights=root[i].reshape(-1), minlength=n)
+        out[i:] += bins[: n - i]
+        out[:i] += bins[n - i :]
     return out
 
 
@@ -95,8 +99,7 @@ def alternative_native(a: CirculantTensor) -> float:
     n = a.dim
     if n % 2:
         raise ValueError("alternative native eigenvalue needs even n")
-    arr = a.root.array
-    return _fsum(arr * parity_signs(arr.shape))
+    return _fsum(_parity_signed(a.root.array))
 
 
 def gershgorin(a: CirculantTensor) -> GershgorinDisc:

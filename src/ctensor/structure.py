@@ -2,11 +2,11 @@
 
 Sign comparisons here are exact (no epsilon): the classified entries are user
 data, not computed quantities.  Row sums are exactly rounded sums, so that
-decisions are order-independent: ``core._fsum`` returns math.fsum's value bit
-for bit, adding the integer halves of the floats' significands per binary
-exponent with np.bincount and rounding the exact total once.  The B0/B
-inequalities between a row sum and its off-diagonal maximum are decided
-exactly.
+decisions are order-independent: ``exactsum._fsum`` returns math.fsum's value
+bit for bit, extracting the entries' leading bits into exact partial sums and
+rounding their total once.  The B0/B inequalities between a row sum and its
+off-diagonal maximum are decided exactly.  Circulant sign classes are
+decided from the root alone, with no rotated copies (``classify_sign``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CirculantTensor, DenseTensor, Tensor, _fsum, is_circulant, materialize
+from .core import CirculantTensor, DenseTensor, Tensor, is_circulant, materialize
+from .exactsum import _fsum
 
 
 class SignClass(str, Enum):
@@ -37,50 +38,70 @@ def parity_signs(shape) -> np.ndarray:
     return out
 
 
-def classify_sign_array(arr: np.ndarray) -> SignClass:
-    """Sign class of a raw array; the zero array reports nonnegative."""
-    arr = np.asarray(arr, dtype=float)
-    if np.all(arr >= 0):
-        return SignClass.NONNEGATIVE
-    if np.all(arr <= 0):
-        return SignClass.NONPOSITIVE
-    signed = arr * parity_signs(arr.shape)
-    if np.all(signed >= 0):
+def _parity_signed(arr) -> np.ndarray:
+    """``arr * parity_signs(arr.shape)`` bit for bit, by negating the
+    odd-index half of each axis of a copy in turn."""
+    out = np.array(arr, dtype=float)
+    for axis in range(out.ndim):
+        half = np.swapaxes(out, 0, axis)[1::2]
+        np.negative(half, out=half)
+    return out
+
+
+def _alternative_class(arr: np.ndarray) -> SignClass:
+    """Alternative, negatively alternative or none: the sign of the
+    parity-signed array, for an array that is neither >= 0 nor <= 0."""
+    signed = _parity_signed(arr)
+    if (signed >= 0).all():
         return SignClass.ALTERNATIVE
-    if np.all(signed <= 0):
+    if (signed <= 0).all():
         return SignClass.NEGATIVELY_ALTERNATIVE
     return SignClass.NONE
 
 
+def classify_sign_array(arr: np.ndarray) -> SignClass:
+    """Sign class of a raw array; the zero array reports nonnegative."""
+    arr = np.asarray(arr, dtype=float)
+    if (arr >= 0).all():
+        return SignClass.NONNEGATIVE
+    if (arr <= 0).all():
+        return SignClass.NONPOSITIVE
+    return _alternative_class(arr)
+
+
 def classify_sign(t: Tensor) -> SignClass:
-    """Sign class of the full tensor, from the root for circulant input: the
-    tensor holds exactly the root's entries, and row k (0-based) is the root
-    rolled by k, its entries' parity k plus the root index sum."""
+    """Sign class of the full tensor, from the root alone for circulant input.
+
+    The full tensor holds exactly the root's entries: root[sigma] sits in row
+    k (0-based) at indices sigma_l + k mod n, of parity P(k) = k + sum over l
+    of (sigma_l + k mod n), and an alternative tensor needs every nonzero
+    entry to keep one parity over all rows.  For even n, P(k) = sum(sigma) +
+    m k mod 2: with m even every row repeats the root's own parities, with m
+    odd every entry meets both.  For odd n, P(k + 1) - P(k) = m + #{l: sigma_l
+    = n - 1 - k} mod 2, so P stays constant only where each v in 1..n-1
+    occurs among sigma's coordinates a number of times of m's parity.  All
+    such sigma share P(0) = sum(sigma) mod 2 (0 for even m, (n - 1) / 2 for
+    odd m), so an alternative root would be >= 0 or <= 0 throughout.  Hence
+    a root of mixed sign gives none unless n and m are both even.
+    """
     if isinstance(t, DenseTensor):
         return classify_sign_array(t.array)
     root = t.root.array
-    if np.all(root >= 0):
+    if (root >= 0).all():
         return SignClass.NONNEGATIVE
-    if np.all(root <= 0):
+    if (root <= 0).all():
         return SignClass.NONPOSITIVE
-    signs = parity_signs(root.shape)
-    axes = tuple(range(root.ndim))
-    alt = neg = True
-    for k in range(t.dim):
-        signed = np.roll(root, (k,) * root.ndim, axis=axes) * ((-1.0) ** k * signs)
-        alt = alt and bool(np.all(signed >= 0))
-        neg = neg and bool(np.all(signed <= 0))
-        if not (alt or neg):
-            return SignClass.NONE
-    return SignClass.ALTERNATIVE if alt else SignClass.NEGATIVELY_ALTERNATIVE
+    if t.dim % 2 or t.order % 2:
+        return SignClass.NONE
+    return _alternative_class(root)
 
 
 def is_alternative(arr: np.ndarray) -> bool:
-    return bool(np.all(arr * parity_signs(arr.shape) >= 0))
+    return bool((_parity_signed(arr) >= 0).all())
 
 
 def is_negatively_alternative(arr: np.ndarray) -> bool:
-    return bool(np.all(arr * parity_signs(arr.shape) <= 0))
+    return bool((_parity_signed(arr) <= 0).all())
 
 
 def row_sign_decomposition(a: CirculantTensor) -> bool:

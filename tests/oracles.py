@@ -25,6 +25,24 @@ def shift_materialize(root: np.ndarray, n: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def roll_associated_coeffs(root: np.ndarray) -> np.ndarray:
+    """Associated polynomial coefficients by one bincount per leading index,
+    rotated into place with np.roll: the same additions in the same order as
+    ``spectral.associated_coeffs``, so the results agree bit for bit."""
+    n = root.shape[0]
+    rest = (np.indices(root.shape[1:]).sum(axis=0) % n).reshape(-1)
+    out = np.zeros(n)
+    for i in range(n):
+        out += np.roll(np.bincount(rest, weights=root[i].reshape(-1), minlength=n), i)
+    return out
+
+
+def roll_is_circulant(arr: np.ndarray, tol: float) -> bool:
+    """Dense circulant test against the array rolled by one on every axis."""
+    shifted = np.roll(arr, (1,) * arr.ndim, axis=tuple(range(arr.ndim)))
+    return bool(np.max(np.abs(arr - shifted)) <= tol)
+
+
 def naive_form(arr: np.ndarray, x) -> complex:
     total = 0.0
     for idx in itertools.product(range(arr.shape[0]), repeat=arr.ndim):

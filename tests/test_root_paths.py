@@ -16,25 +16,40 @@ from ctensor.core import (
     circulant_from_root,
     diagonal_part,
     identity_tensor,
+    is_circulant,
     is_toeplitz,
     materialize,
     perm_matrix,
+    row_tensor,
     symmetrize,
 )
 from ctensor.diag_root import CirculantMatrix, DiagRootSpec, diag_root_vector, expand
 from ctensor.io import tensor_to_dict
 from ctensor.psd import check_psd
-from ctensor.spectral import extreme_h_eigenvalue, gershgorin, native_eigenvalues
+from ctensor.spectral import (
+    associated_coeffs,
+    extreme_h_eigenvalue,
+    gershgorin,
+    native_eigenvalues,
+)
 from ctensor.structure import (
     SignClass,
     b_class,
     classify_sign,
     classify_sign_array,
     hat_one_k,
+    _parity_signed,
     is_doubly_circulant,
+    parity_signs,
 )
 
-from oracles import naive_symmetrize, random_circulant
+from oracles import (
+    naive_symmetrize,
+    random_circulant,
+    roll_associated_coeffs,
+    roll_is_circulant,
+    shift_materialize,
+)
 
 
 def starved_tensor(kind: str):
@@ -136,15 +151,98 @@ def sign_structured_roots(rng, m, n):
     for pattern in (1.0, parity, orbit):
         yield mag * pattern
         yield -mag * pattern
+    yield mag * orbit * rng.choice([-1.0, 1.0], size=shape)
 
 
 @pytest.mark.parametrize(
-    "m,n", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3)]
+    "m,n",
+    [
+        (2, 3),
+        (2, 4),
+        (3, 3),
+        (3, 4),
+        (3, 5),
+        (3, 6),
+        (4, 3),
+        (4, 4),
+        (4, 5),
+        (4, 6),
+        (5, 2),
+        (5, 3),
+        (5, 4),
+        (6, 3),
+    ],
 )
 def test_classify_sign_root_matches_dense(rng, m, n):
     for root in sign_structured_roots(rng, m, n):
         a = circulant_from_root(root)
         assert classify_sign(a) == classify_sign_array(materialize(a).array)
+
+
+def kernel_roots(rng, m, n):
+    """A random root, the same with signed zeros in place of about a third of
+    its entries, and circulant roots (all row tensors equal) with zeros, one
+    of them circulant only within a tolerance and one drifting along the
+    shift orbits."""
+    shape = (n,) * (m - 1)
+    root = rng.uniform(-1.0, 1.0, size=shape)
+    yield root
+    zeros = rng.uniform(size=shape) < 0.35
+    yield np.where(zeros, np.where(rng.uniform(size=shape) < 0.5, -0.0, 0.0), root)
+    if m >= 3:
+        inner = shift_materialize(rng.uniform(-1.0, 1.0, size=shape[1:]), n)
+        inner[rng.uniform(size=shape) < 0.2] = 0.0
+        yield inner
+        yield -inner
+        near = inner.copy()
+        near[(0,) * (m - 1)] += 1e-12  # circulant only within a tolerance
+        yield near
+        # every shift step moves 0.4 except the one back from row 1 to row n,
+        # which moves 0.4 (n - 1)
+        yield inner + 0.4 * np.arange(n).reshape((n,) + (1,) * (m - 2))
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(2, 7) for n in range(2, 6) if n**m <= 5000]
+)
+def test_root_kernels_match_roll_references(rng, m, n):
+    for root in kernel_roots(rng, m, n):
+        a = circulant_from_root(root)
+        assert np.array_equal(associated_coeffs(a), roll_associated_coeffs(root))
+        for arr in (root, materialize(a).array):
+            if arr.ndim >= 2:
+                for tol in (0.0, 1e-13, 1e-11, 0.5):
+                    assert is_circulant(DenseTensor(arr), tol) == roll_is_circulant(arr, tol)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2,), (3,), (7,), (8,), (3, 3), (4, 4), (3, 4), (4, 3), (5, 5, 5), (4, 4, 4),
+     (2, 3, 5), (5, 2, 3), (3, 3, 3, 3), (2, 2, 2, 2, 2)],
+)
+def test_parity_signed_matches_sign_table(rng, shape):
+    """Bitwise equal to the product with the float sign table, signed zeros
+    included, for odd and even axes and 1-D arrays."""
+    arr = rng.uniform(-1.0, 1.0, size=shape)
+    picks = rng.uniform(size=shape)
+    arr[picks < 0.2] = 0.0
+    arr[picks > 0.8] = -0.0
+    before = arr.copy()
+    got = _parity_signed(arr)
+    want = arr * parity_signs(shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(arr.view(np.uint64), before.view(np.uint64))  # input untouched
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3), (4, 2), (4, 5), (5, 3)])
+def test_materialize_matches_rows_and_shift_oracle(rng, m, n):
+    a = random_circulant(rng, m, n)
+    dense = materialize(a).array
+    assert not dense.flags.writeable
+    assert np.array_equal(dense, shift_materialize(a.root.array, n))
+    for k in range(n):
+        assert np.array_equal(dense[k], row_tensor(a, k + 1).array)
 
 
 def test_classify_sign_cases_cover_every_class(rng):
