@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import plans
+
 DEFAULT_BUDGET = 10**7
+# entries per gathered block in symmetrize: the block stays in cache and no
+# root-sized temporary is allocated
+_GATHER_CHUNK = 2**14
 
 
 class BudgetError(ValueError):
@@ -219,8 +224,7 @@ def _contract(arr: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray:
 
 def _rotations(x: np.ndarray) -> np.ndarray:
     """Row k holds x rotated left by k positions."""
-    ar = np.arange(len(x))
-    return x[(ar[:, None] + ar) % len(x)]
+    return x[plans.rotations(len(x))]
 
 
 def _stored(a: Tensor) -> np.ndarray:
@@ -310,9 +314,11 @@ def symmetrize(a: Tensor):
     S_i = sum_{j <= i} (j i) S_{i-1}: m + (m-1)(m-2)/2 array passes instead
     of m!.  Circulant input yields circulant output in root form, from the
     root alone: the first row of each moved array is the slice with axis k
-    at index 0, gathered from the root, and the trailing-axis sum runs on the
-    root in the same order, so the result is the dense one's first row bit
-    for bit.  At most two root-sized arrays are live at a time.
+    at index 0, one flat gather (the shape's ``plans.coset_gather``) from a
+    copy of the root with its axis k-1 moved first, and the trailing-axis
+    sum runs on the root in the same order, so the result is the dense
+    one's first row bit for bit.  Besides the gather, at most two
+    root-sized arrays are live at a time.
     """
     m = a.order
     if isinstance(a, DenseTensor):
@@ -322,19 +328,23 @@ def symmetrize(a: Tensor):
             acc += np.moveaxis(arr, k, 0)
         first = 1
     else:
-        n, root = a.dim, a.root.array
-        grid = np.indices((n,) * (m - 1), sparse=True)
+        root = a.root.array
+        gather = plans.coset_gather(m, a.dim)
         acc = root.copy()  # the slice with axis 1 at index 0 is the root
+        moved = np.empty_like(root)
+        out, src = acc.reshape(-1), moved.reshape(-1)
+        axes = list(range(m - 1))
         for k in range(1, m):
-            idx = list(grid)
-            idx.insert(k, 0)  # the full index (j1..jm) with j_{k+1} = 1
-            acc += root[tuple((j - idx[0]) % n for j in idx[1:])]
+            moved[...] = root.transpose([axes[k - 1]] + axes[: k - 1] + axes[k:])
+            for lo in range(0, out.size, _GATHER_CHUNK):
+                out[lo : lo + _GATHER_CHUNK] += src[gather[lo : lo + _GATHER_CHUNK]]
+        del moved, src
         first = 0
     for i in range(first + 1, acc.ndim):
         prev = acc
         acc = prev.copy()
         for j in range(first, i):
-            acc += np.swapaxes(prev, j, i)
+            acc += prev.swapaxes(j, i)
         del prev
     acc /= math.factorial(m)
     if isinstance(a, DenseTensor):

@@ -5,8 +5,9 @@ elsewhere.  Such tensors have a fully explicit eigenstructure (that of an
 n x n circulant matrix built from c) and an exact semi-definiteness decision
 in several regimes.  A doubly circulant tensor has a circulant root, so all
 of its row tensors coincide and its form factors through sum(x).  Its exact
-route works on the root form as a polynomial with ``Fraction`` coefficients:
-float entries are dyadic rationals, so the reduction carries no rounding.
+route works on the root form as a polynomial with integer coefficients: float
+entries are dyadic rationals, so the root scaled by one power of two is an
+integer array, and the reduction carries no rounding.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import plans
 from .core import (
     CirculantTensor,
     DenseTensor,
     _contract,
     _diagonal,
     _diagonal_array,
+    _scaled_ints,
     apply_full,
     circulant_from_root,
     is_circulant,
@@ -208,16 +211,17 @@ def doubly_reduce(a: CirculantTensor, x) -> float:
 
 
 def _root_form(root: np.ndarray) -> dict:
-    """g(x) = sum root[idx] x_idx as {exponent tuple: Fraction}, zero terms
-    dropped (float entries are dyadic rationals, so the coefficients are exact)."""
-    n = root.shape[0]
+    """g(x) = sum root[idx] x_idx as {exponent tuple: coefficient}, zero
+    terms dropped.  The coefficients are sums of the entries themselves, so
+    they are exact for Python ints (``core._scaled_ints``)."""
+    idx = np.nonzero(root)
+    exps = np.zeros((len(idx[0]), root.shape[0]), dtype=int)
+    rows = np.arange(len(idx[0]))
+    for axis in idx:
+        exps[rows, axis] += 1
     g: dict = {}
-    for idx in zip(*np.nonzero(root)):
-        e = [0] * n
-        for i in idx:
-            e[i] += 1
-        key = tuple(e)
-        g[key] = g.get(key, 0) + Fraction(float(root[idx]))
+    for key, c in zip(map(tuple, exps.tolist()), root[idx].tolist()):
+        g[key] = g.get(key, 0) + c
     return {k: v for k, v in g.items() if v}
 
 
@@ -227,7 +231,8 @@ def _divide_by_sum(g: dict) -> tuple[dict, dict]:
     Synthetic division: each term c x^e with e_1 > 0 moves c x^(e - e_1) into
     q and leaves -c x^(e - e_1 + e_j), j > 1, of one lower x_1 degree, so
     processing degrees downward clears x_1.  The remainder of a single divisor
-    with leading term x_1 is unique: this is the lexicographic division.
+    with leading term x_1 is unique: this is the lexicographic division.  The
+    divisor's coefficients are 1, so integer coefficients stay integers.
     """
     g, q = dict(g), {}
     for d in range(max((e[0] for e in g), default=0), 0, -1):
@@ -244,21 +249,22 @@ def _divide_by_sum(g: dict) -> tuple[dict, dict]:
 
 
 def _quadratic_gram(q: dict, n: int) -> list:
-    """Symmetric G with x^T G x = q(x) for a quadratic form q."""
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    """Symmetric G with x^T G x = 2 q(x) for a quadratic form q: integer
+    entries for integer coefficients."""
+    gram = [[0] * n for _ in range(n)]
     for e, c in q.items():
         i, j = [k for k in range(n) for _ in range(e[k])]
         if i == j:
-            gram[i][i] = c
+            gram[i][i] = 2 * c
         else:
-            gram[i][j] = gram[j][i] = c / 2
+            gram[i][j] = gram[j][i] = c
     return gram
 
 
 def _is_psd_exact(gram: list) -> bool:
     """Exact semi-definiteness of a symmetric rational matrix by LDL^T,
     pivoting on the largest remaining diagonal entry."""
-    a = [list(row) for row in gram]
+    a = [[Fraction(v) for v in row] for row in gram]
     while a:
         k = max(range(len(a)), key=lambda i: a[i][i])
         p = a[k][k]
@@ -269,6 +275,23 @@ def _is_psd_exact(gram: list) -> bool:
         rest = [i for i in range(len(a)) if i != k]
         a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
     return True
+
+
+def _hyperplane_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """256 seeded directions in the hyperplane sum(x) = 0, normalized where
+    their norm is at least 1e-12, and the mask of those rows; a read-only
+    plan per n."""
+
+    def build():
+        z = np.random.default_rng(7).normal(size=(256, n))
+        z -= z.mean(axis=1, keepdims=True)
+        # row by row: a batched norm sums in another order and moves ulps
+        norms = np.array([np.linalg.norm(row) for row in z])
+        keep = norms >= 1e-12
+        z[keep] /= norms[keep, None]
+        return z, keep
+
+    return plans.cached(("hyperplane", n), build)
 
 
 def _perturbed_witness(a, direction: np.ndarray) -> np.ndarray:
@@ -284,11 +307,11 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
 
     With g(x) = A_1 x^{m-1}, the form is sum(x) * g(x).  For deeper circulant
     roots the decision first recurses on the root of the root.  Then g, with
-    rational coefficients, is divided by sum(x).  A nonzero remainder means g
-    does not vanish on the hyperplane sum(x) = 0, and a sign flip across it
-    refutes.  Otherwise A x^m = sum(x)^2 * q(x); for m = 4 the quadratic q is
-    decided by an exact LDL^T of its Gram matrix.  Anything else is left to
-    the general chain.
+    integer coefficients (the root scaled by a power of two), is divided by
+    sum(x).  A nonzero remainder means g does not vanish on the hyperplane
+    sum(x) = 0, and a sign flip across it refutes.  Otherwise
+    A x^m = sum(x)^2 * q(x); for m = 4 the quadratic q is decided by an exact
+    LDL^T of its Gram matrix.  Anything else is left to the general chain.
     """
     if a.order % 2:
         raise ValueError("semi-definiteness needs even order")
@@ -317,17 +340,14 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
     if root.size > _EXACT_ROOT_CAP:
         return inconclusive(route="root-too-large", **trail)
 
-    q, r = _divide_by_sum(_root_form(root))
+    # root == ints * 2^e exactly; the division and the Gram matrix stay in ints
+    ints, e = _scaled_ints(root)
+    q, r = _divide_by_sum(_root_form(ints))
 
     if r:
         # g is nonzero somewhere on the hyperplane: the form changes sign
         trail["route"] = "hyperplane-sign-flip"
-        z = np.random.default_rng(7).normal(size=(256, n))
-        z -= z.mean(axis=1, keepdims=True)
-        # row by row: a batched norm sums in another order and moves ulps
-        norms = np.array([np.linalg.norm(row) for row in z])
-        keep = norms >= 1e-12
-        z[keep] /= norms[keep, None]
+        z, keep = _hyperplane_directions(n)
         vals = np.where(keep, _contract(root, [z] * (m - 1)), 0.0)
         i = int(np.argmax(np.abs(vals)))  # the first of the largest
         if vals[i] != 0.0:
@@ -344,7 +364,10 @@ def doubly_psd(a: CirculantTensor) -> PsdVerdict:
         trail["route"] = "quadratic-residual"
         if _is_psd_exact(gram):
             return psd_verdict(DOUBLY_CIRCULANT, **trail)
-        evecs = np.linalg.eigh(np.array(gram, dtype=float))[1]
+        # the Gram matrix of q in the root's units: gram * 2^(e - 1)
+        unit = 2 << -e
+        evecs = np.linalg.eigh(np.array([[Fraction(v, unit) for v in row] for row in gram],
+                                        dtype=float))[1]
         w = _perturbed_witness(a, evecs[:, 0])
         v = not_psd_verdict(a, w, DOUBLY_CIRCULANT, trail)
         if v is not None:

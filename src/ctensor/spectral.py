@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import plans
 from .core import CirculantTensor, apply_partial, associated_array
 from .exactsum import _fsum
 from .structure import SignClass, _parity_signed, classify_sign_array
@@ -63,15 +64,14 @@ def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     because the polynomial is only ever evaluated at n-th roots of unity.
     """
     root, n = a.root.array, a.dim
-    # one bincount per leading index i over the other indices' sums, added
-    # into out shifted by i (out[s] gets bin s - i mod n) with two slice-adds
-    rest = (np.indices(root.shape[1:]).sum(axis=0) % n).reshape(-1)
-    out = np.zeros(n)
-    for i in range(n):
-        bins = np.bincount(rest, weights=root[i].reshape(-1), minlength=n)
-        out[i:] += bins[: n - i]
-        out[:i] += bins[n - i :]
-    return out
+    # bins[i, r]: the root entries with leading index i whose other indices
+    # sum to r mod n, each bin added in flat order (np.add.at adds in index
+    # order; numpy >= 1.25 runs it at array speed); exponent s collects
+    # bins[i, s - i] for i = 0, 1, ..., n-1 in turn, starting from +0.0
+    keys, skew = plans.exponent_bins(a.order, n)
+    bins = np.zeros(n * n)
+    np.add.at(bins, keys, root.reshape(-1))
+    return np.add.reduce(bins[skew], axis=0, initial=0.0)
 
 
 def native_eigenvalues(a: CirculantTensor) -> NativeSpectrum:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _exact_form, _form, _stored, apply_full
+from .core import CirculantTensor, _exact_form, _form, _stored, apply_full
 
 PSD = "psd"
 PSD_STRICT = "psd_strict"
@@ -73,22 +74,64 @@ def _rounding_band(a, w: np.ndarray) -> float:
     with g <= 1/3 the error is at most 1.5 g (M' + U) + U <= 2 (g M' + U),
     the value returned (the spare half of g M' covers its own rounding).
     """
-    m, n = a.order, a.dim
-    gamma = m * n * 2.0**-53 / (1 - m * n * 2.0**-53)
+    gamma, underflow, _ = _band_terms(a, w)
     mag = float(_form(a, np.abs(w), np.abs(_stored(a))))
-    underflow = n**m * 2.0**-1073 * max(1.0, np.max(np.abs(w))) ** m
     return 2 * (gamma * mag + underflow)
+
+
+def _band_terms(a, w: np.ndarray) -> tuple[float, float, float]:
+    """The floats g and U of ``_rounding_band``, and max|w|."""
+    m, n = a.order, a.dim
+    top = np.max(np.abs(w))  # a numpy float: its power overflows to inf
+    gamma = m * n * 2.0**-53 / (1 - m * n * 2.0**-53)
+    return gamma, n**m * 2.0**-1073 * max(1.0, top) ** m, float(top)
+
+
+def _up(x: float) -> float:
+    """The float after x: at least the exact result of the one operation
+    that x is the rounded-to-nearest value of (within half a step of it,
+    subnormal results included)."""
+    return math.nextafter(x, math.inf)
+
+
+def _coarse_band(a, w: np.ndarray) -> float:
+    """An upper bound on ``_rounding_band(a, w)`` without its contraction.
+
+    Every term of M = |A|(|w|)^m is at most max|w|^m, so
+    M <= B = max|w|^m * sum|A|, and sum|A| = n * sum|root| for a circulant
+    tensor (each root entry appears once in every row).  A float sum of N
+    nonnegative terms, in any order, is at least S (1 - gamma_(N-1)) (no
+    addition underflows), so S <= fl(S) (1 + 2Nu) while Nu <= 1/4.  Every
+    other operation here is rounded to nearest and stepped up (``_up``), so
+    the float B and the floats g+, U+ bound B, g and U from above.
+    ``_rounding_band`` evaluates 2 (g M' + U), with g and U as floats and M'
+    the float value of M, and M' <= (1 + g) M + U by the error bound that
+    gives the band.  So X = (1 + g+) B + U+ >= M', and the same expression
+    with X in place of M' is at least the band: rounding is monotone.
+    """
+    gamma, underflow, top = _band_terms(a, w)
+    stored = _stored(a)
+    total = _up(float(np.abs(stored).sum()) * _up(1 + stored.size * 2.0**-52))
+    if isinstance(a, CirculantTensor):
+        total = _up(a.dim * total)
+    power, scale = 1.0, _up(float(a.dim**a.order))  # max|w|^m, n^m max(1, max|w|)^m
+    for _ in range(a.order):
+        power = _up(power * top)
+        scale = _up(scale * max(1.0, top))
+    bound = _up(_up(_up(1 + _up(gamma)) * _up(power * total)) + _up(scale * 2.0**-1073))
+    return 2 * (gamma * bound + underflow)
 
 
 def not_psd_verdict(a, witness, certificate: str | None, details: dict) -> PsdVerdict | None:
     """The refutation of ``a`` by ``witness`` if its form value is negative,
     else None.  The float value decides outside ``_rounding_band``; inside
     it the exact value (``core._exact_form``) decides and is recorded as
-    ``witness_value_exact``."""
+    ``witness_value_exact``.  The band's contraction runs only when the
+    value lies within ``_coarse_band``, which bounds the band from above."""
     witness = np.asarray(witness, dtype=float)
     value = deciding = float(apply_full(a, witness))
     details = dict(details)
-    if abs(value) <= _rounding_band(a, witness):
+    if abs(value) <= _coarse_band(a, witness) and abs(value) <= _rounding_band(a, witness):
         deciding = _exact_form(a, witness)
         details["witness_value_exact"] = float(deciding)
     if not deciding < 0:

@@ -190,6 +190,24 @@ class TestDispatch:
         assert json.loads(out)["decision"] == "not_psd"
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+PRESETS = ("example1", "example2", "example3", "example4_case1", "example4_case2",
+           "example5", "example6")
+
+
+@pytest.mark.parametrize("command", ["eig", "classify", "psd"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_output_matches_golden(name, command, tmp_path, capsys):
+    # tests/data/cli_golden.json holds the exit status and the exact output
+    # of each command on each preset; any change to a printed bit fails here
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(tensor_to_dict(presets.by_name(name))))
+    rc = dispatch([command, str(p)])
+    out, err = capsys.readouterr()
+    expected = json.loads(GOLDEN.read_text())[f"{name} {command}"]
+    assert {"exit": rc, "stdout": out, "stderr": err} == expected
+
+
 class TestReproduce:
     @pytest.mark.parametrize("target", ["example1", "example2", "example3", "example4"])
     def test_targets_pass(self, target, capsys):

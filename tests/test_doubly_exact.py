@@ -270,8 +270,10 @@ def test_exact_value_is_the_dense_form(name, rng):
 def test_exact_value_decides(monkeypatch, name):
     # a witness whose exact value is 0 is not emitted, whatever the float
     # says: every witness is put inside the rounding band, so the exact
-    # value decides each one
+    # value decides each one (the coarse bound is the band's upper bound, so
+    # it is widened with it)
     a = dict(CASES)[name]
+    monkeypatch.setattr(verdict_mod, "_coarse_band", lambda a, w: float("inf"))
     monkeypatch.setattr(verdict_mod, "_rounding_band", lambda a, w: float("inf"))
     monkeypatch.setattr(verdict_mod, "_exact_form", lambda a, w: Fraction(0))
     v = doubly_psd(a)

@@ -25,7 +25,7 @@ from ctensor.psd import (
 )
 
 from ctensor.structure import b_class
-from ctensor.verdict import _rounding_band, not_psd_verdict
+from ctensor.verdict import _coarse_band, _rounding_band, not_psd_verdict
 
 from oracles import exact_dense_form, random_circulant
 
@@ -111,6 +111,32 @@ class TestRefutationEmitter:
                 w = rng.normal(size=n) * 2.0 ** rng.integers(-3, 3, size=n)
                 err = Fraction(apply_full(t, w)) - exact_dense_form(t, w)
                 assert abs(err) <= Fraction(_rounding_band(t, w))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**-1060, 2.0**900],
+                             ids=["1", "2^-1000", "2^-1060", "2^900"])
+    def test_coarse_band_bounds_the_band(self, rng, scale):
+        # constant magnitudes make M = max|w|^m sum|A| exactly, where the
+        # float M' may round above it
+        for trial in range(40):
+            m, n = int(rng.choice([2, 4, 6])), int(rng.integers(2, 5))
+            root = rng.uniform(-1.0, 1.0, size=(n,) * (m - 1)) * scale
+            w = rng.normal(size=n) * 2.0 ** rng.integers(-8, 8, size=n)
+            if trial % 2:
+                root = np.sign(root) * scale
+                w = np.sign(w) * 2.0 ** int(rng.integers(-8, 8))
+            a = circulant_from_root(root)
+            for t in (a, materialize(a)):
+                assert _coarse_band(t, w) >= _rounding_band(t, w)
+
+    def test_band_contraction_only_within_coarse_band(self, monkeypatch):
+        def fail(a, w):
+            raise AssertionError("band contraction for a value outside the coarse band")
+
+        monkeypatch.setattr(verdict_mod, "_rounding_band", fail)
+        a = expand(DiagRootSpec(4, np.array([1.0, -3.0])))
+        v = not_psd_verdict(a, np.ones(2), None, {})
+        assert v.decision == "not_psd" and "witness_value_exact" not in v.details
+        assert not_psd_verdict(a, np.array([1.0, 0.0]), None, {}) is None
 
 
 class TestDiagDominance:
