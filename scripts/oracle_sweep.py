@@ -5,10 +5,11 @@ Draws random order-4 circulant tensors (root entries uniform in
 [-scale, scale]), runs the full decision chain with the numeric fallback,
 and compares the refute/accept outcome against brute-force sphere
 minimization.  Also re-verifies that every certificate-based acceptance has
-a nonnegative oracle minimum.
+a nonnegative oracle minimum, and exits with status 1 when one does not.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from ctensor.core import circulant_from_root
 from ctensor.psd import brute_force_min, check_psd
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seed", type=int, default=42)
@@ -54,7 +55,8 @@ def main() -> None:
     print(f"inconclusive      {inconclusive}")
     print(f"cert violations   {cert_violations}")
     print(f"elapsed           {elapsed:.1f}s")
+    return 1 if cert_violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

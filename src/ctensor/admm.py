@@ -7,9 +7,11 @@ there), so it has the closed-form solution -b/||b||.  Multi-start from random
 unit vectors recovers the global sphere minimum of A x^m with high
 probability on small instances.
 
-All restarts iterate together on an (R, m, n) block array: every block update
-is one contraction over the restart axis, and a restart leaves the batch as
-soon as it meets the stopping rule.  A single solve is the R = 1 case.
+All restarts iterate together on an (m, n, R) block array, the restarts on
+the last, contiguous axis: every block update is one contraction over the
+restart axis plus elementwise steps along rows of R, and a restart leaves
+the batch as soon as it meets the stopping rule.  A single solve is the
+R = 1 case.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def subproblem(b: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """
     norm = _norms(b)
     small = norm <= 1e-14
+    if not small.any():
+        return -b / norm
     return np.where(small, prev, -b / np.where(small, 1.0, norm))
 
 
@@ -111,9 +115,16 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     Within a restart the blocks update in Gauss-Seidel order.  A restart
     stops when its full iterate (all blocks and the multiplier) moves less
     than epsilon; the rest rerun from their own start with the penalty
-    scaled by 4, up to ``params.escalations`` attempts.  Returns the final
-    blocks (R, m, n), the iteration counts summed over attempts and the
-    converged flags.
+    scaled by 4, up to ``params.escalations`` attempts.
+
+    Blocks and multipliers are (m, n, R) arrays with the restarts on the
+    last, contiguous axis, so every elementwise update, norm and stopping
+    test runs along rows of R.  ``_contract`` takes the other blocks as
+    (R, n) stacks: a contiguous copy of every block in that layout is kept
+    beside the iterate and refreshed when the block updates.  A block is
+    -b/||b||, not divided again by its computed norm, which would only move
+    it in its last bits.  Returns the final blocks (m, n, R), the iteration
+    counts summed over attempts and the converged flags.
     """
     num, n = starts.shape
     m = arr.ndim
@@ -121,7 +132,8 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     moved = [np.ascontiguousarray(np.moveaxis(arr, j, -1)) for j in range(m)]
     others = [[k for k in range(m) if k != j] for j in range(m)]
     nxt = np.roll(np.arange(m), -1)
-    blocks = np.empty((num, m, n))
+    prv = np.roll(np.arange(m), 1)
+    blocks = np.empty((m, n, num))
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     live = np.arange(num)
@@ -129,29 +141,32 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
         if live.size == 0:
             break
         beta = params.beta * 4.0**attempt
-        x = np.repeat(starts[live, None, :], m, axis=1)
+        rows = np.repeat(starts[None, live], m, axis=0)  # (m, R, n), for _contract
+        x = rows.transpose(0, 2, 1).copy()
         lam = np.zeros_like(x)
         for it in range(1, params.max_iters + 1):
             x_old, lam_old = x.copy(), lam
+            dlam = lam - lam[prv]  # block j pairs with lam[j] - lam[j-1]
             for j in range(m):
-                g = _contract(moved[j], [x[:, k] for k in others[j]])
-                b = g - (lam[:, j] - lam[:, j - 1]) - beta * (x[:, j - 1] + x[:, nxt[j]])
-                xj = subproblem(b, x[:, j])
-                x[:, j] = xj / _norms(xj)  # defensive renormalization
-            lam = lam - beta * (x - x[:, nxt])
-            dx, dlam = x - x_old, lam - lam_old
-            step = np.sqrt((dx * dx).sum(axis=(1, 2)) + (dlam * dlam).sum(axis=(1, 2)))
+                g = _contract(moved[j], [rows[k] for k in others[j]]).T
+                b = g - dlam[j] - beta * (x[j - 1] + x[nxt[j]])
+                rows[j] = subproblem(b.T, rows[j])
+                x[j] = rows[j].T
+            lam = lam - beta * (x - x[nxt])
+            dx, dl = x - x_old, lam - lam_old
+            step = np.sqrt((dx * dx).sum(axis=(0, 1)) + (dl * dl).sum(axis=(0, 1)))
             done = step < params.epsilon
             if done.any():
                 idx = live[done]
-                blocks[idx] = x[done]
+                blocks[..., idx] = x[..., done]
                 iterations[idx] += it
                 converged[idx] = True
-                live, x, lam = live[~done], x[~done], lam[~done]
+                keep = ~done
+                live, x, lam, rows = live[keep], x[..., keep], lam[..., keep], rows[:, keep]
                 if live.size == 0:
                     break
         iterations[live] += params.max_iters
-        blocks[live] = x
+        blocks[..., live] = x
     return blocks, iterations, converged
 
 
@@ -173,9 +188,10 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
 
     t0 = time.perf_counter()
     blocks, iterations, converged = _iterate(arr, starts / norms, params)
-    points = blocks[:, 0]
+    points = np.ascontiguousarray(blocks[0].T)
     values = (_contract(arr, [points] * (m - 1)) * points).sum(axis=1)
-    gaps = _norms(blocks[:, :, None, :] - blocks[:, None, :, :]).max(axis=(1, 2, 3))
+    diffs = blocks[:, None] - blocks[None, :]
+    gaps = np.sqrt((diffs * diffs).sum(axis=2)).max(axis=(0, 1))
     time_s = (time.perf_counter() - t0) / len(starts)
     return [
         AdmmResult(

@@ -154,6 +154,10 @@ def cmd_minimize(args) -> dict:
         "iterations_mean": report.iterations_mean,
         "time_mean_ms": report.time_mean_s * 1000.0,
         "success_rate": report.success_rate,
+        # a restart that never met the stopping rule reports where it
+        # stalled, which is no evidence of the minimum
+        "best_converged": report.best.converged,
+        "converged_share": float(np.mean([r.converged for r in report.results])),
     }
 
 

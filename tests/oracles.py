@@ -124,3 +124,59 @@ def random_circulant(rng, m: int, n: int, scale: float = 10.0):
     from ctensor.core import circulant_from_root
 
     return circulant_from_root(rng.uniform(-scale, scale, size=(n,) * (m - 1)))
+
+
+def where_subproblem(b: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """-b/||b|| row by row, prev where ||b|| <= 1e-14, as one np.where."""
+    norm = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+    small = norm <= 1e-14
+    return np.where(small, prev, -b / np.where(small, 1.0, norm))
+
+
+def reference_iterate(arr: np.ndarray, starts: np.ndarray, params):
+    """The batched ADMM iteration on an (R, m, n) block array, restarts on
+    the first axis, each block update divided once more by its computed
+    norm.  Same stopping rule and escalation as ``admm._iterate``; returns
+    blocks (R, m, n), iteration counts and converged flags."""
+    from ctensor.core import _contract
+
+    def norms(v):
+        return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+    num, n = starts.shape
+    m = arr.ndim
+    moved = [np.ascontiguousarray(np.moveaxis(arr, j, -1)) for j in range(m)]
+    others = [[k for k in range(m) if k != j] for j in range(m)]
+    nxt = np.roll(np.arange(m), -1)
+    blocks = np.empty((num, m, n))
+    iterations = np.zeros(num, dtype=int)
+    converged = np.zeros(num, dtype=bool)
+    live = np.arange(num)
+    for attempt in range(params.escalations):
+        if live.size == 0:
+            break
+        beta = params.beta * 4.0**attempt
+        x = np.repeat(starts[live, None, :], m, axis=1)
+        lam = np.zeros_like(x)
+        for it in range(1, params.max_iters + 1):
+            x_old, lam_old = x.copy(), lam
+            for j in range(m):
+                g = _contract(moved[j], [x[:, k] for k in others[j]])
+                b = g - (lam[:, j] - lam[:, j - 1]) - beta * (x[:, j - 1] + x[:, nxt[j]])
+                xj = where_subproblem(b, x[:, j])
+                x[:, j] = xj / norms(xj)
+            lam = lam - beta * (x - x[:, nxt])
+            dx, dlam = x - x_old, lam - lam_old
+            step = np.sqrt((dx * dx).sum(axis=(1, 2)) + (dlam * dlam).sum(axis=(1, 2)))
+            done = step < params.epsilon
+            if done.any():
+                idx = live[done]
+                blocks[idx] = x[done]
+                iterations[idx] += it
+                converged[idx] = True
+                live, x, lam = live[~done], x[~done], lam[~done]
+                if live.size == 0:
+                    break
+        iterations[live] += params.max_iters
+        blocks[live] = x
+    return blocks, iterations, converged

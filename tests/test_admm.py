@@ -17,7 +17,13 @@ from ctensor.core import apply_full, circulant_from_root, materialize, symmetriz
 from ctensor.diag_root import expand
 from ctensor.psd import brute_force_min
 
-from oracles import fd_block_gradient, naive_multi_form, random_circulant
+from oracles import (
+    fd_block_gradient,
+    naive_multi_form,
+    random_circulant,
+    reference_iterate,
+    where_subproblem,
+)
 
 
 class TestParams:
@@ -112,6 +118,56 @@ class TestSubproblem:
         samples = rng.normal(size=(2000, 3))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         assert b @ x <= (samples @ b).min() + 1e-9
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("small_rows", [(), (3,), (0, 5, 11), tuple(range(12))])
+    def test_matches_where_formula_bitwise(self, rng, small_rows, transposed):
+        b = rng.normal(size=(12, 3)) * np.logspace(-8, 8, 12)[:, None]
+        b[1] = [1e-14, 1e-15, 0.0]  # just above the threshold
+        for i, r in enumerate(small_rows):
+            b[r] = 0.0 if i % 2 else [9e-15, -1e-15, 2e-15]
+        prev = rng.normal(size=(12, 3))
+        if transposed:  # restarts on the contiguous axis, as in admm._iterate
+            b, prev = np.ascontiguousarray(b.T).T, np.ascontiguousarray(prev.T).T
+            assert not b.flags.c_contiguous
+        out, ref = subproblem(b, prev), where_subproblem(b, prev)
+        assert out.shape == ref.shape == (12, 3)
+        assert out.tobytes() == ref.tobytes()
+
+
+class TestRestartLayout:
+    """``admm._iterate`` (restarts on the last axis, no second division by
+    the norm) against the (R, m, n) iteration it replaced."""
+
+    @staticmethod
+    def _reference(a, seed, restarts=100):
+        arr = materialize(symmetrize(a)).array
+        starts = np.stack(
+            [np.random.default_rng([seed, i]).normal(size=a.dim) for i in range(restarts)]
+        )
+        starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
+        return reference_iterate(arr, starts, AdmmParams(seed=seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_iterations_example5(self, seed):
+        a = expand(presets.by_name("example5"))
+        rep = multi_start(a, AdmmParams(seed=seed), restarts=100)
+        _, iterations, converged = self._reference(a, seed)
+        assert [r.converged for r in rep.results] == converged.tolist()
+        assert [r.iterations for r in rep.results] == iterations.tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["example5", "example6"])
+    def test_converged_values_and_unit_points(self, name, seed):
+        a = expand(presets.by_name(name))
+        rep = multi_start(a, AdmmParams(seed=seed), restarts=100)
+        blocks, _, converged = self._reference(a, seed)
+        both = [i for i, r in enumerate(rep.results) if r.converged and converged[i]]
+        assert len(both) >= 95
+        for i in both:
+            point = rep.results[i].point
+            assert abs(np.linalg.norm(point) - 1.0) <= 1e-15
+            assert abs(rep.results[i].value - float(apply_full(a, blocks[i, 0]))) <= 1e-10
 
 
 class TestMinimize:

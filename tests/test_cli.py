@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -118,7 +119,7 @@ class TestDispatch:
         if doc["decision"] == "not_psd":
             assert doc["witness"] is not None
 
-    def test_minimize_benchmark(self, tmp_path, capsys):
+    def test_minimize_benchmark(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "b.json"
         p.write_text(json.dumps(tensor_to_dict(presets.by_name("example5"))))
         rc, out = run_cli(
@@ -129,6 +130,21 @@ class TestDispatch:
         doc = json.loads(out)
         assert abs(doc["best_value"] - (-6.39448)) <= 1e-4
         assert doc["success_rate"] >= 0.9
+        assert doc["best_converged"] is True
+        assert doc["converged_share"] == 1.0
+        # on a short iteration budget 6 of 8 restarts converge at the second
+        # penalty and the best is one of them; on a shorter one none does
+        from ctensor import cli
+        from ctensor.admm import AdmmParams
+
+        for max_iters, share, best in ((30, 0.75, True), (20, 0.0, False)):
+            short = functools.partial(AdmmParams, max_iters=max_iters, escalations=2)
+            monkeypatch.setattr(cli, "AdmmParams", short)
+            rc, out = run_cli(["minimize", str(p), "--restarts", "8", "--seed", "0"], capsys)
+            assert rc == 0
+            doc = json.loads(out)
+            assert doc["converged_share"] == share
+            assert doc["best_converged"] is best
 
     def test_hypergraph_command(self, tmp_path, capsys):
         p = tmp_path / "g.json"
