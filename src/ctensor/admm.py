@@ -16,6 +16,7 @@ R = 1 case.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,10 +36,10 @@ class AdmmParams:
     escalations: int = 4
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.escalations < 1:
@@ -115,7 +116,9 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     Within a restart the blocks update in Gauss-Seidel order.  A restart
     stops when its full iterate (all blocks and the multiplier) moves less
     than epsilon; the rest rerun from their own start with the penalty
-    scaled by 4, up to ``params.escalations`` attempts.
+    scaled by 4, up to ``params.escalations`` attempts.  ``arr`` is the
+    symmetrized tensor, so contracting its leading m-1 modes with the other
+    blocks gives the gradient of any block: one array serves them all.
 
     Blocks and multipliers are (m, n, R) arrays with the restarts on the
     last, contiguous axis, so every elementwise update, norm and stopping
@@ -128,8 +131,6 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     """
     num, n = starts.shape
     m = arr.ndim
-    # block j's gradient contracts every other mode: move mode j last once
-    moved = [np.ascontiguousarray(np.moveaxis(arr, j, -1)) for j in range(m)]
     others = [[k for k in range(m) if k != j] for j in range(m)]
     nxt = np.roll(np.arange(m), -1)
     prv = np.roll(np.arange(m), 1)
@@ -148,7 +149,7 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
             x_old, lam_old = x.copy(), lam
             dlam = lam - lam[prv]  # block j pairs with lam[j] - lam[j-1]
             for j in range(m):
-                g = _contract(moved[j], [rows[k] for k in others[j]]).T
+                g = _contract(arr, [rows[k] for k in others[j]]).T
                 b = g - dlam[j] - beta * (x[j - 1] + x[nxt[j]])
                 rows[j] = subproblem(b.T, rows[j])
                 x[j] = rows[j].T

@@ -144,6 +144,10 @@ def cmd_psd(args) -> dict:
     }
 
 
+def _converged_share(report) -> float:
+    return float(np.mean([r.converged for r in report.results]))
+
+
 def cmd_minimize(args) -> dict:
     a = _load_circulant(args.tensor)
     params = AdmmParams(beta=args.beta, epsilon=args.eps, seed=args.seed)
@@ -157,7 +161,7 @@ def cmd_minimize(args) -> dict:
         # a restart that never met the stopping rule reports where it
         # stalled, which is no evidence of the minimum
         "best_converged": report.best.converged,
-        "converged_share": float(np.mean([r.converged for r in report.results])),
+        "converged_share": _converged_share(report),
     }
 
 
@@ -268,6 +272,7 @@ def _reproduce_table1(restarts: int, seed: int) -> dict:
                 "best_value": report.best.value,
                 "reference": ref,
                 "success_rate": report.success_rate,
+                "converged_share": _converged_share(report),
             }
         )
     doc = _assertions_doc(rows)
@@ -353,10 +358,9 @@ def dispatch(argv) -> int:
         elif args.command == "minimize":
             doc = cmd_minimize(args)
             if args.format == "csv":
-                _csv_rows(
-                    [[doc["best_value"], doc["iterations_mean"], doc["time_mean_ms"], doc["success_rate"]]],
-                    ["best_value", "iterations_mean", "time_mean_ms", "success_rate"],
-                )
+                keys = ["best_value", "iterations_mean", "time_mean_ms", "success_rate",
+                        "best_converged", "converged_share"]
+                _csv_rows([[doc[k] for k in keys]], keys)
             else:
                 _emit(doc)
         elif args.command == "hypergraph":

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import plans
+from .exactsum import _scaled_ints
 
 DEFAULT_BUDGET = 10**7
 # entries per gathered block in symmetrize: the block stays in cache and no
@@ -239,14 +240,6 @@ def _form(a: Tensor, x: np.ndarray, arr: np.ndarray | None = None):
     if isinstance(a, CirculantTensor):
         return np.dot(x, _contract(arr, [_rotations(x)] * arr.ndim))
     return _contract(arr, [x[None]] * arr.ndim)[0]
-
-
-def _scaled_ints(x) -> tuple[np.ndarray, int]:
-    """Python ints z (object array) and e <= 0 with x == z * 2^e exactly."""
-    sig, exp = np.frexp(np.asarray(x, dtype=float))
-    mant = (sig * 2.0**53).astype(np.int64)  # x == mant * 2^(exp - 53)
-    low = int(exp.min(where=mant != 0, initial=53)) - 53
-    return mant.astype(object) << np.where(mant != 0, exp - 53 - low, 0).astype(object), low
 
 
 def _exact_form(a: Tensor, w) -> Fraction:

@@ -25,11 +25,11 @@ from .core import (
     _contract,
     _diagonal,
     _diagonal_array,
-    _scaled_ints,
     apply_full,
     circulant_from_root,
     is_circulant,
 )
+from .exactsum import _scaled_ints
 from .spectral import eigen_residual
 from .structure import hat_one_k, is_doubly_circulant, is_k_alternative
 from .verdict import (
@@ -213,7 +213,7 @@ def doubly_reduce(a: CirculantTensor, x) -> float:
 def _root_form(root: np.ndarray) -> dict:
     """g(x) = sum root[idx] x_idx as {exponent tuple: coefficient}, zero
     terms dropped.  The coefficients are sums of the entries themselves, so
-    they are exact for Python ints (``core._scaled_ints``)."""
+    they are exact for Python ints (``exactsum._scaled_ints``)."""
     idx = np.nonzero(root)
     exps = np.zeros((len(idx[0]), root.shape[0]), dtype=int)
     rows = np.arange(len(idx[0]))

@@ -22,8 +22,6 @@ _FSUM_PASSES = 8
 # extraction runs while e + bit length of (N + 1) stays at most this, with
 # max|x| < 2^e: sigma stays finite and the partials' sum far from overflow
 _FSUM_MAX_EXP = 1020
-# np.frexp exponents of nonzero finite doubles lie in [-1073, 1024]
-_FREXP_MIN, _FREXP_SPAN = -1073, 2098
 
 
 def _fsum(values) -> float:
@@ -37,7 +35,7 @@ def _fsum(values) -> float:
     exact in any order.  Passes repeat on the remainder until it is zero, and
     math.fsum rounds the few exact partials once.  Inputs the passes cannot
     take (max|x| near the float range, or a spread wider than the pass
-    bound) go to ``_fsum_buckets``.  Unlike math.fsum this has no
+    bound) go to ``_fsum_ints``.  Unlike math.fsum this has no
     intermediate overflow: only an exact sum beyond the float range raises
     OverflowError.
     """
@@ -58,7 +56,7 @@ def _fsum(values) -> float:
                 return math.fsum(x)
             exp = math.frexp(top)[1]
             if exp + size_bits > _FSUM_MAX_EXP:
-                return _fsum_buckets(x)
+                return _fsum_ints(x)
             sigma = math.ldexp(1.0, exp + bits)
             np.add(p, sigma, out=q)
             q -= sigma
@@ -66,43 +64,25 @@ def _fsum(values) -> float:
             parts.append(float(q.sum()))
         else:
             if p.any():
-                return _fsum_buckets(x)
+                return _fsum_ints(x)
     if not parts:  # all zeros: the sign of the zero is math.fsum's
         return math.fsum([-0.0] if np.signbit(x).all() else [0.0])
     return math.fsum(parts)
 
 
-def _fsum_buckets(x: np.ndarray) -> float:
-    """``_fsum`` of a flat float array with a nonzero entry, by integer buckets.
+def _fsum_ints(x: np.ndarray) -> float:
+    """``_fsum`` of a flat float array with a nonzero entry, from its
+    integer form x == z * 2^e: the exact sum of z, one correctly rounded int
+    division, so math.fsum's value."""
+    if not np.isfinite(x).all():  # inf and nan: math.fsum's rules
+        return math.fsum(x)
+    ints, e = _scaled_ints(x)
+    return int(ints.sum()) / (1 << -e)
 
-    A finite double is sig * 2^(e - 53), with np.frexp's exponent e and an
-    integer significand |sig| < 2^53, which splits into two halves held
-    exactly in floats: hi * 2^27 + lo, with |hi| <= 2^26 and 0 <= lo < 2^27.
-    Per chunk of 2^14 entries np.bincount adds each half by exponent; every
-    partial sum stays below 2^53, so it is exact.  The buckets combine into
-    one Python int, and one correctly rounded int division makes the float.
-    """
-    hi_sums = np.zeros(_FREXP_SPAN, np.int64)
-    lo_sums = np.zeros(_FREXP_SPAN, np.int64)
-    for start in range(0, x.size, _FSUM_CHUNK):
-        part = x[start : start + _FSUM_CHUNK]
-        if not np.isfinite(part).all():  # inf and nan: math.fsum's rules
-            return math.fsum(x)
-        sig, exp = np.frexp(part)
-        bucket = np.subtract(exp, _FREXP_MIN, dtype=np.intp)
-        hi = sig * 2.0**26
-        np.floor(hi, out=hi)
-        sig *= 2.0**53
-        hi_sums += np.bincount(bucket, hi, _FREXP_SPAN).astype(np.int64)
-        hi *= 2.0**27
-        sig -= hi  # the low half
-        lo_sums += np.bincount(bucket, sig, _FREXP_SPAN).astype(np.int64)
-    used = np.flatnonzero(hi_sums | lo_sums)
-    if not used.size:  # x has nonzero entries: an exact zero is math.fsum's +0.0
-        return 0.0
-    low = int(used[0])
-    total = 0
-    for e in used.tolist():
-        total += ((int(hi_sums[e]) << 27) + int(lo_sums[e])) << (e - low)
-    shift = low + _FREXP_MIN - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+def _scaled_ints(x) -> tuple[np.ndarray, int]:
+    """Python ints z (object array) and e <= 0 with x == z * 2^e exactly."""
+    sig, exp = np.frexp(np.asarray(x, dtype=float))
+    mant = (sig * 2.0**53).astype(np.int64)  # x == mant * 2^(exp - 53)
+    low = int(exp.min(where=mant != 0, initial=53)) - 53
+    return mant.astype(object) << np.where(mant != 0, exp - 53 - low, 0).astype(object), low

@@ -122,13 +122,6 @@ def signless_laplacian(g: Hypergraph) -> CirculantTensor:
     return circulant_from_root(d + a)
 
 
-def hypergraph_to_dict(g: Hypergraph) -> dict:
-    edges = sorted(
-        [e[0], *e[1]] if g.directed else list(e) for e in g.edges
-    )
-    return {"n": g.n, "m": g.m, "directed": g.directed, "edges": edges}
-
-
 def hypergraph_from_dict(doc: dict) -> Hypergraph:
     return orbit_closure(
         doc["generators"], int(doc["n"]), bool(doc.get("directed", False))

@@ -35,6 +35,8 @@ class ProcessSample:
 
 def fold_trajectories(raw, period: int) -> ProcessSample:
     """Truncate raw trajectories (length >= period) to one period each."""
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     rows = []
     for t in raw:
         t = np.asarray(t, dtype=float)

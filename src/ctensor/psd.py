@@ -2,10 +2,15 @@
 
 Order of attack: cheap necessary sign checks, exact special-structure routes
 (diagonal root, doubly circulant), then the sufficiency certificates
-(diagonal dominance, B0/B class, sign-structured associated tensors), and
-finally, when allowed, a multi-start sphere minimization.  Certificates are
-sound; numeric evidence can refute (with a verified witness) but never
-certifies semi-definiteness.
+(diagonal dominance, B0/B class), and finally, when allowed, a multi-start
+sphere minimization.  Certificates are sound; numeric evidence can refute
+(with a verified witness) but never certifies semi-definiteness.
+
+The sign-structured associated tensors (``exact_special_cases``) are not a
+stage of the chain.  A non-positive associated tensor has lambda_0 =
+c0 - sum|off|, a negatively alternative one lambda_{n/2} = c0 - sum|off|.
+The necessary checks decide those signs exactly: they refute every such
+input with a negative one, and diagonal dominance certifies the rest.
 """
 
 from __future__ import annotations
@@ -123,7 +128,9 @@ def exact_special_cases(a: CirculantTensor) -> PsdVerdict | None:
     Non-positive associated tensor: PSD iff the first native eigenvalue is
     nonnegative.  Negatively alternative associated tensor (m, n even):
     PSD iff the alternative native eigenvalue is nonnegative.  Both are
-    exactly rounded sums, so their signs are exact.
+    exactly rounded sums, so their signs are exact.  ``check_psd`` does not
+    call this: diagonal dominance decides every such input first (see the
+    module docstring).
     """
     _require_even_circulant(a)
     assoc = associated_array(a)
@@ -180,7 +187,7 @@ def check_psd(
             return v
         trail["doubly_circulant"] = v.details.get("route", "undecided")
 
-    for route in (sufficient_diag_dominance, sufficient_b_class, exact_special_cases):
+    for route in (sufficient_diag_dominance, sufficient_b_class):
         v = route(a)
         if v is not None:
             v.details.update(trail)
@@ -236,6 +243,10 @@ def _tangent_frame(x: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
+# shrinking local grids around the incumbent in brute_force_min
+_REFINE_ROUNDS = 8
+
+
 @dataclass
 class BruteResult:
     value: float
@@ -243,9 +254,7 @@ class BruteResult:
     details: dict
 
 
-def brute_force_min(
-    a, resolution: int | None = None, refine_rounds: int = 8
-) -> BruteResult:
+def brute_force_min(a) -> BruteResult:
     """Grid search for min A x^m over the unit sphere (n <= 4).
 
     Every evaluated point is feasible, so the returned value is an upper
@@ -256,16 +265,16 @@ def brute_force_min(
     arr = materialize(a).array
     n = arr.shape[0]
     if n == 2:
-        num = resolution or 2000
+        num = 2000
         pts = _circle_points(num)
         cover = np.pi / num
     elif n == 3:
-        num = resolution or 10**4
+        num = 10**4
         pts = _fibonacci_sphere(num)
         cover = 3.0 / math.sqrt(num)
     elif n == 4:
         # seeded uniform sphere sample; the coverage bound is heuristic here
-        num = resolution or 4 * 10**4
+        num = 4 * 10**4
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(num, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -289,7 +298,7 @@ def brute_force_min(
     grid_min = best_v
 
     span = cover * 2
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         frame = _tangent_frame(best_x)
         steps = np.linspace(-span, span, 9)
         grids = np.meshgrid(*([steps] * (n - 1)))

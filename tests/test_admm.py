@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,11 @@ class TestParams:
             AdmmParams(epsilon=-1.0)
         with pytest.raises(ValueError):
             AdmmParams(max_iters=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AdmmParams(beta=bad)
+            with pytest.raises(ValueError, match="finite"):
+                AdmmParams(epsilon=bad)
 
 
 class TestConsensusResidual:
@@ -171,6 +179,19 @@ class TestRestartLayout:
 
 
 class TestMinimize:
+    def test_one_dense_array(self):
+        # the symmetrized tensor serves every block's gradient: besides the
+        # dense array and its build, no per-block copy of it
+        a = random_circulant(np.random.default_rng(0), 4, 20)
+        dense_bytes = 20**4 * 8
+        tracemalloc.start()
+        try:
+            minimize(a, AdmmParams(seed=0, max_iters=5, escalations=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * dense_bytes
+
     def test_identity_min_half(self):
         root = np.zeros((2, 2, 2))
         root[0, 0, 0] = 1.0

@@ -146,6 +146,28 @@ class TestDispatch:
             assert doc["converged_share"] == share
             assert doc["best_converged"] is best
 
+    def test_minimize_csv_reports_convergence(self, tmp_path, capsys):
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(tensor_to_dict(presets.by_name("example5"))))
+        rc, out = run_cli(
+            ["minimize", str(p), "--restarts", "8", "--seed", "0", "--format", "csv"], capsys
+        )
+        assert rc == 0
+        header, row = out.strip().splitlines()
+        assert header.split(",")[-2:] == ["best_converged", "converged_share"]
+        assert row.split(",")[-2:] == ["true", "1"]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--beta", "nan"), ("--beta", "inf"), ("--eps", "inf"), ("--eps", "nan")]
+    )
+    def test_minimize_nonfinite_params_exit2(self, flag, value, tmp_path, capsys):
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(tensor_to_dict(presets.by_name("example5"))))
+        rc = dispatch(["minimize", str(p), "--restarts", "2", flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "finite" in err
+
     def test_hypergraph_command(self, tmp_path, capsys):
         p = tmp_path / "g.json"
         p.write_text(json.dumps({"n": 6, "m": 4, "directed": True, "generators": [[1, 2, 4, 5]]}))
@@ -238,6 +260,9 @@ class TestReproduce:
         doc = json.loads(out)
         assert doc["passed"], doc
         assert len(doc["rows"]) == 2
+        for row in doc["rows"]:
+            assert list(row)[-1] == "converged_share"
+            assert row["converged_share"] == 1.0
 
     def test_table1_csv(self, capsys):
         rc, out = run_cli(
@@ -247,6 +272,7 @@ class TestReproduce:
         assert rc == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("target,")
+        assert lines[0].endswith(",success_rate,converged_share")
         assert len(lines) == 3
 
     def test_unknown_target_exit2(self, capsys):

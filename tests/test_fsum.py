@@ -109,8 +109,8 @@ def bucket_calls(monkeypatch):
         calls.append(x.size)
         return buckets(x)
 
-    buckets = exactsum._fsum_buckets
-    monkeypatch.setattr(exactsum, "_fsum_buckets", counted)
+    buckets = exactsum._fsum_ints
+    monkeypatch.setattr(exactsum, "_fsum_ints", counted)
     return calls
 
 

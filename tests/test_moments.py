@@ -58,6 +58,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             fold_trajectories([[1.0]], period=2)
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_nonpositive_period_rejected(self, period):
+        # t[:-1] would silently drop the last column instead
+        with pytest.raises(ValueError, match="period"):
+            fold_trajectories([[1.0, 2.0, 3.0, 4.0]], period=period)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ProcessSample(np.zeros((0, 2)))

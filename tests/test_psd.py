@@ -232,6 +232,41 @@ class TestExactSpecialCases:
             assert v is not None
 
 
+class TestSignStructuredSubsumed:
+    """check_psd runs no sign-structured stage: after the necessary checks a
+    non-positive associated tensor has c0 - sum|off| = lambda_0 >= 0 and a
+    negatively alternative one c0 - sum|off| = lambda_{n/2} >= 0, so
+    diagonal dominance decides first.  Checked with c0 at the exact
+    boundary and one ulp on each side."""
+
+    @staticmethod
+    def _roots(m, n, seed):
+        rng = np.random.default_rng([m, n, seed])
+        shape = (n,) * (m - 1)
+        # dyadic entries: the boundary sum|off| is a float, exactly
+        mags = rng.integers(0, 2**20, size=shape) * 2.0 ** int(rng.integers(-40, 10))
+        for signs in (-np.ones(shape), -((-1.0) ** np.indices(shape).sum(axis=0))):
+            off = signs * mags
+            off[(0,) * (m - 1)] = 0.0
+            edge = math.fsum(np.abs(off).ravel().tolist())
+            for c0 in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf)):
+                root = off.copy()
+                root[(0,) * (m - 1)] = c0
+                yield circulant_from_root(root), c0 >= edge
+
+    @pytest.mark.parametrize("m,n", [(2, 6), (4, 2), (4, 4), (6, 2)])
+    def test_same_decision_as_exact_special_cases(self, m, n):
+        for seed in range(5):
+            for a, psd in self._roots(m, n, seed):
+                special = exact_special_cases(a)
+                v = check_psd(a, mode="certificates_only")
+                assert special.decision == v.decision == ("psd" if psd else "not_psd")
+                if psd:
+                    assert sufficient_diag_dominance(a) is not None
+                    # an order-1 root is diagonal: that exact route goes first
+                    assert v.certificate == ("diag_root" if m == 2 else "diag_dominance")
+
+
 def _signed_ones(sign_pattern: bool) -> np.ndarray:
     root = -np.ones((2, 2, 2))
     if sign_pattern:
