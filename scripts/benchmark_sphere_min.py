@@ -4,10 +4,13 @@
 Reports, per instance: best value found, the known reference minimum, mean
 iteration count, mean wall time per run (the restarts run as one batch, so
 this is the batch time over the number of runs), and the fraction of runs
-that land within 1e-5 of the reference.
+that land within 1e-5 of the reference.  Exits 1 when a best value is more
+than 1e-4 from its reference or a success rate is below 0.9, the checks of
+``ctensor reproduce table1``.
 """
 
 import argparse
+import sys
 
 from ctensor import presets
 from ctensor.admm import AdmmParams, multi_start
@@ -26,6 +29,7 @@ def main() -> None:
     header = f"{'instance':<10} {'best':>12} {'reference':>12} {'iters':>8} {'ms/run':>8} {'success':>8}"
     print(header)
     print("-" * len(header))
+    ok = True
     for name in ("example5", "example6"):
         ref = presets.BENCHMARK_REFERENCES[name]
         rep = multi_start(
@@ -39,6 +43,8 @@ def main() -> None:
             f"{rep.iterations_mean:>8.1f} {rep.time_mean_s * 1e3:>8.2f} "
             f"{rep.success_rate:>8.0%}"
         )
+        ok &= abs(rep.best.value - ref) <= 1e-4 and rep.success_rate >= 0.9
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,6 @@ from .moments import ProcessSample, fold_trajectories, moment_pushforward, momen
 from .psd import (
     brute_force_min,
     check_psd,
-    exact_special_cases,
     necessary_checks,
     sufficient_b_class,
     sufficient_diag_dominance,

@@ -28,10 +28,10 @@ from .core import (
     is_toeplitz,
     symmetrize,
 )
-from .diag_root import DiagRootSpec, expand
+from .diag_root import expand
 from .hypergraph import hypergraph_from_dict, laplacian, adjacency_tensor, signless_laplacian
 from .io import as_tensor, load_tensor, tensor_to_dict
-from .moments import ProcessSample, fold_trajectories, moment_tensor
+from .moments import fold_trajectories, moment_tensor
 from .psd import check_psd
 from .spectral import (
     eigen_residual,
@@ -91,18 +91,6 @@ def _load_circulant(path: str) -> CirculantTensor:
     raise ValueError("input tensor is not circulant")
 
 
-def _details_doc(details: dict) -> dict:
-    out = {}
-    for k, v in sorted(details.items()):
-        if isinstance(v, np.ndarray):
-            out[k] = list(v)
-        elif isinstance(v, (list, tuple, dict, str, int, float, bool)) or v is None:
-            out[k] = v
-        else:
-            out[k] = str(v)
-    return out
-
-
 def cmd_eig(args) -> dict:
     a = _load_circulant(args.tensor)
     spec = native_eigenvalues(a)
@@ -140,7 +128,7 @@ def cmd_psd(args) -> dict:
         "decision": verdict.decision,
         "certificate": verdict.certificate,
         "witness": None if verdict.witness is None else list(verdict.witness),
-        "evidence": _details_doc(verdict.details),
+        "evidence": dict(sorted(verdict.details.items())),
     }
 
 
@@ -281,18 +269,13 @@ def _reproduce_table1(restarts: int, seed: int) -> dict:
 
 
 def cmd_reproduce(args) -> dict:
-    target = args.target
-    if target == "example1":
-        return _reproduce_example1()
-    if target == "example2":
-        return _reproduce_example2()
-    if target == "example3":
-        return _reproduce_example3()
-    if target == "example4":
-        return _reproduce_example4()
-    if target == "table1":
-        return _reproduce_table1(args.restarts, args.seed)
-    raise ValueError(f"unknown reproduce target {target!r}")
+    return {
+        "example1": _reproduce_example1,
+        "example2": _reproduce_example2,
+        "example3": _reproduce_example3,
+        "example4": _reproduce_example4,
+        "table1": lambda: _reproduce_table1(args.restarts, args.seed),
+    }[args.target]()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +357,6 @@ def dispatch(argv) -> int:
                 _csv_rows([[r[k] for k in keys] for r in doc["rows"]], keys)
             else:
                 _emit(doc)
-        else:  # pragma: no cover - argparse enforces choices
-            return 2
     except BudgetError as exc:
         print(f"ctensor: budget: {exc}", file=sys.stderr)
         return 3

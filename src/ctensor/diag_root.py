@@ -141,9 +141,13 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
 
     Order of attack: the necessary sign checks on c_0 and the two real
     native eigenvalues; the dominance condition c_0 >= sum |c_j|; the
-    non-positive-tail and block-alternating regimes where dominance is also
-    necessary.  All sums are exact (fsum), so the comparisons carry no
-    floating tolerance.  Inconclusive results defer to the general chain.
+    block-alternating regimes (k >= 2) where dominance is also necessary.
+    A non-positive or 1-alternative tail needs no route of its own: there
+    lambda_0 or lambda_{n/2} is the exactly rounded sum of c_0 and the
+    -|c_j|, the margin itself, so the necessary checks refute every such
+    input whose margin is negative.  All sums are exact (fsum), so the
+    comparisons carry no floating tolerance.  Inconclusive results defer to
+    the general chain.
     """
     m, n = spec.order, spec.dim
     if m % 2:
@@ -176,13 +180,9 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
         trail["route"] = "dominance"
         return psd_verdict(DIAG_ROOT, **trail)
 
-    if np.all(c[1:] <= 0):
-        # dominance is necessary here and it just failed
-        return refute("nonpositive-tail", np.ones(n))
-
     if n % 2 == 0:
         half = n // 2
-        for k in range(1, half + 1):
+        for k in range(2, half + 1):
             if half % k:
                 continue
             if is_k_alternative(c[1:], k):

@@ -78,28 +78,31 @@ def orbit_closure(generators, n: int, directed: bool = False) -> Hypergraph:
     return Hypergraph(n=n, m=m, edges=frozenset(edges), directed=directed)
 
 
-def _degrees(g: Hypergraph) -> np.ndarray:
-    return np.array([len(_incident(g, j)) for j in range(1, g.n + 1)], dtype=float)
+def _circulant(g: Hypergraph, sign: float, diagonal: float) -> CirculantTensor:
+    """The circulant tensor built from its first row in one pass.
 
-
-def adjacency_tensor(g: Hypergraph) -> CirculantTensor:
-    """Circulant adjacency tensor built from its first row.
-
-    Row 1 has 1/(m-1)! at every arrangement (1, j_2, ..., j_m) realizing an
-    edge through vertex 1 (for arcs, with tail 1).
+    Row 1 has sign/(m-1)! at every arrangement (1, j_2, ..., j_m) realizing
+    an edge through vertex 1 (for arcs, with tail 1), and ``diagonal`` at
+    (1, ..., 1), which no edge reaches; every other entry stays +0.0.
     """
     n, m = g.n, g.m
-    w = 1.0 / math.factorial(m - 1)
+    w = sign / math.factorial(m - 1)
     root = np.zeros((n,) * (m - 1))
     for e in _incident(g, 1):
         rest = e[1] if g.directed else tuple(v for v in e if v != 1)
         for perm in itertools.permutations(rest):
             root[tuple(v - 1 for v in perm)] = w
-    a = circulant_from_root(root)
-    degs = _degrees(g)
+    root[(0,) * (m - 1)] = diagonal
+    ends = [e[0] for e in g.edges] if g.directed else [v for e in g.edges for v in e]
+    degs = np.bincount(np.array(ends, dtype=int), minlength=n + 1)[1 : n + 1]
     if not np.all(degs == degs[0]):
         raise AssertionError("rotation-closed edge set must be regular")
-    return a
+    return circulant_from_root(root)
+
+
+def adjacency_tensor(g: Hypergraph) -> CirculantTensor:
+    """Circulant adjacency tensor: 1/(m-1)! on every arrangement of an edge."""
+    return _circulant(g, 1.0, 0.0)
 
 
 def degree_tensor(g: Hypergraph) -> CirculantTensor:
@@ -110,16 +113,12 @@ def degree_tensor(g: Hypergraph) -> CirculantTensor:
 
 def laplacian(g: Hypergraph) -> CirculantTensor:
     """Degree tensor minus adjacency tensor."""
-    d = degree_tensor(g).root.array
-    a = adjacency_tensor(g).root.array
-    return circulant_from_root(d - a)
+    return _circulant(g, -1.0, g.degree)
 
 
 def signless_laplacian(g: Hypergraph) -> CirculantTensor:
     """Degree tensor plus adjacency tensor."""
-    d = degree_tensor(g).root.array
-    a = adjacency_tensor(g).root.array
-    return circulant_from_root(d + a)
+    return _circulant(g, 1.0, g.degree)
 
 
 def hypergraph_from_dict(doc: dict) -> Hypergraph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, Tensor, matrix_product
+from .core import BudgetError, DenseTensor, Tensor, materialization_budget, matrix_product
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,20 @@ def fold_trajectories(raw, period: int) -> ProcessSample:
 
 
 def moment_tensor(sample: ProcessSample, m: int) -> DenseTensor:
-    """Entrywise sample means of x_{i_1}...x_{i_m}; symmetric by construction."""
+    """Entrywise sample means of x_{i_1}...x_{i_m}; symmetric by construction.
+
+    The result is dense, so period^m is held to the materialization budget
+    before anything is allocated.
+    """
     if m < 2:
         raise ValueError("moment order must be >= 2")
     x = sample.values
-    letters = "ijklpqrs"[:m]
-    subs = ",".join("t" + c for c in letters) + "->" + letters
-    acc = np.einsum(subs, *([x] * m)) / x.shape[0]
+    cap = materialization_budget()
+    if sample.period**m > cap:
+        raise BudgetError(f"moment tensor of {sample.period}^{m} entries exceeds budget {cap}")
+    # sublist form: label m runs over realizations, labels 0..m-1 are modes
+    operands = [v for i in range(m) for v in (x, [m, i])]
+    acc = np.einsum(*operands, list(range(m))) / x.shape[0]
     return DenseTensor(acc)
 
 

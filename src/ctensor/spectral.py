@@ -26,17 +26,6 @@ class NativeSpectrum:
     lambdas: np.ndarray  # complex, length n; lambdas[k] = f(w_k)
     coeffs: np.ndarray  # real, length n; exponent-reduced mod n
 
-    @property
-    def first(self) -> float:
-        return float(self.lambdas[0].real)
-
-    @property
-    def alternative(self) -> float:
-        n = len(self.lambdas)
-        if n % 2:
-            raise ValueError("alternative native eigenvalue needs even n")
-        return float(self.lambdas[n // 2].real)
-
 
 @dataclass(frozen=True)
 class GershgorinDisc:

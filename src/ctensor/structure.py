@@ -30,16 +30,8 @@ class SignClass(str, Enum):
     NONE = "none"
 
 
-def parity_signs(shape) -> np.ndarray:
-    """(-1)^(sum of 0-based indices), which equals (-1)^(sum of 1-based - order)."""
-    out = np.ones(())
-    for n in shape:
-        out = np.multiply.outer(out, (-1.0) ** np.arange(n))
-    return out
-
-
 def _parity_signed(arr) -> np.ndarray:
-    """``arr * parity_signs(arr.shape)`` bit for bit, by negating the
+    """``arr`` times (-1)^(sum of its 0-based indices), by negating the
     odd-index half of each axis of a copy in turn."""
     out = np.array(arr, dtype=float)
     for axis in range(out.ndim):

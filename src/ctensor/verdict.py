@@ -18,8 +18,6 @@ INCONCLUSIVE = "inconclusive"
 DIAG_DOMINANCE = "diag_dominance"
 B0_CERT = "b0"
 B_CERT = "b"
-NONPOS_ASSOC = "nonpos_associated"
-NEG_ALT = "negatively_alternative"
 DIAG_ROOT = "diag_root"
 DOUBLY_CIRCULANT = "doubly_circulant_reduction"
 NUMERIC = "numeric_evidence"

@@ -37,6 +37,36 @@ def roll_associated_coeffs(root: np.ndarray) -> np.ndarray:
     return out
 
 
+def parity_signs(shape) -> np.ndarray:
+    """(-1)^(sum of 0-based indices), which equals (-1)^(sum of 1-based - order)."""
+    return (-1.0) ** np.indices(shape).sum(axis=0)
+
+
+def exact_special_cases(a):
+    """Exact decisions from the associated tensor's sign structure: a
+    non-positive one is PSD iff lambda_0 >= 0, a negatively alternative one
+    (m, n even) iff lambda_{n/2} >= 0, both exactly rounded sums.  The
+    reference for the subsumption argued in the ``ctensor.psd`` docstring."""
+    from ctensor.core import associated_array
+    from ctensor.spectral import alternative_native, first_native
+    from ctensor.structure import hat_one_k, is_negatively_alternative
+    from ctensor.verdict import not_psd_verdict, psd_verdict
+
+    assoc = associated_array(a)
+    if np.all(assoc <= 0):
+        lam0 = first_native(a)
+        if lam0 >= 0:
+            return psd_verdict("nonpos_associated", lambda0=lam0)
+        return not_psd_verdict(a, np.ones(a.dim), "nonpos_associated", {"lambda0": lam0})
+    if a.dim % 2 == 0 and is_negatively_alternative(assoc):
+        lam_half = alternative_native(a)
+        if lam_half >= 0:
+            return psd_verdict("negatively_alternative", lambda_n_half=lam_half)
+        return not_psd_verdict(a, hat_one_k(a.dim, 1), "negatively_alternative",
+                               {"lambda_n_half": lam_half})
+    return None
+
+
 def roll_is_circulant(arr: np.ndarray, tol: float) -> bool:
     """Dense circulant test against the array rolled by one on every axis."""
     shifted = np.roll(arr, (1,) * arr.ndim, axis=tuple(range(arr.ndim)))

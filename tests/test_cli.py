@@ -193,6 +193,13 @@ class TestDispatch:
         arr = np.array(doc["entries"]).reshape(2, 2)
         assert np.allclose(arr, [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_moments_high_order_and_budget(self, tmp_path, capsys, monkeypatch):
+        (p := tmp_path / "s.csv").write_text("1,2,3,4\n-1,0.5,2,1\n")
+        rc, out = run_cli(["moments", str(p), "--order", "9", "--period", "2"], capsys)
+        assert rc == 0 and len(json.loads(out)["entries"]) == 2**9
+        monkeypatch.setenv("CTENSOR_BUDGET", "100")
+        assert run_cli(["moments", str(p), "--order", "4", "--period", "4"], capsys) == (3, "")
+
     def test_hypergraph_output_feeds_psd(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         g.write_text(

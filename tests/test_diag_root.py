@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ctensor.spectral import (
 )
 from ctensor.structure import is_doubly_circulant
 
-from oracles import naive_form, random_circulant
+from oracles import exact_dense_form, naive_form, random_circulant
 
 
 def random_spec(rng, m, n, scale=10.0):
@@ -230,6 +231,28 @@ class TestDiagRootPsd:
         assert v.decision == "not_psd"
         a = expand(DiagRootSpec(4, c))
         assert apply_full(a, v.witness) < 0
+
+    def test_sign_structured_tails_refuted_by_necessary_checks(self):
+        # with c_j <= 0 (j >= 1) lambda_0, and with a 1-alternative tail
+        # lambda_{n/2}, is the rounded sum of c_0 and the -|c_j|: the
+        # dominance margin itself, so no later route sees a negative margin
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            mags = np.abs(rng.normal(size=n - 1)) * (rng.random(n - 1) < 0.8)
+            mags[0] += 0.25
+            alternating = n % 2 == 0 and trial % 2
+            signs = -((-1.0) ** np.arange(1, n)) if alternating else -np.ones(n - 1)
+            edge = np.nextafter(math.fsum(mags), 0)  # below the exact sum
+            c0 = edge if trial % 3 == 0 else edge * rng.uniform(0, 0.99)
+            spec = DiagRootSpec(4, np.concatenate([[c0], signs * mags]))
+            assert Fraction(c0) < sum(map(Fraction, mags))
+            v = diag_root_psd(spec)
+            assert v.decision == "not_psd" and v.details["route"].startswith("necessary-")
+            assert exact_dense_form(expand(spec), v.witness) < 0
+            seen.add(v.details["route"])
+        assert seen == {"necessary-lambda0", "necessary-alternating"}
 
     def test_inconclusive_routes_to_general_chain(self):
         c = np.array([1.0, 2.0, -2.0, 0.0])

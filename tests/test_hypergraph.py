@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctensor.core import is_circulant, materialize, symmetrize
 from ctensor.hypergraph import (
+    Hypergraph,
     adjacency_tensor,
     degree_tensor,
     hypergraph_from_dict,
@@ -147,6 +149,37 @@ class TestLaplacians:
         for _ in range(5):
             x = rng.normal(size=6)
             assert apply_full(lap, x) == pytest.approx(apply_full(s, x), rel=1e-9, abs=1e-9)
+
+
+class TestOneRootPass:
+    @pytest.mark.parametrize("gens,n,directed", [
+        ([(1, 2, 4)], 6, False), ([(1, 2, 4)], 6, True), ([(1, 2)], 5, False),
+        ([(1, 2, 3, 5), (1, 3, 6, 10)], 12, False), ([(2, 1, 3, 5), (1, 4, 6, 7)], 9, True)])
+    def test_degree_minus_plus_adjacency_bytes(self, gens, n, directed):
+        # zeros stay +0.0: a -0.0 would print as -0 in the JSON output
+        g = orbit_closure(gens, n=n, directed=directed)
+        d, a = degree_tensor(g).root.array, adjacency_tensor(g).root.array
+        assert laplacian(g).root.array.tobytes() == (d - a).tobytes()
+        assert signless_laplacian(g).root.array.tobytes() == (d + a).tobytes()
+
+    @pytest.mark.parametrize("build", [laplacian, signless_laplacian])
+    def test_one_root_array(self, build):
+        g = orbit_closure([(1, 2, 3, 5), (1, 3, 6, 10)], n=60)
+        tracemalloc.start()
+        try:
+            build(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 60**3 * 8  # the root's bytes
+
+    @pytest.mark.parametrize("build", [adjacency_tensor, laplacian, signless_laplacian])
+    def test_irregular_edge_set_rejected(self, build):
+        # a directly built edge set need not be rotation-closed
+        for g in (Hypergraph(5, 3, frozenset({(1, 2, 3), (2, 3, 4)}), False),
+                  Hypergraph(4, 2, frozenset({(1, (2,)), (1, (3,))}), True)):
+            with pytest.raises(AssertionError, match="regular"):
+                build(g)
 
 
 class TestSerialization:

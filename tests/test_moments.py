@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ctensor.core import DenseTensor, apply_full, is_circulant, materialize, perm_matrix
+from ctensor.core import BudgetError, apply_full, is_circulant, perm_matrix
 from ctensor.moments import (
     ProcessSample,
     fold_trajectories,
@@ -48,6 +49,29 @@ class TestConstruction:
         arr = moment_tensor(ProcessSample(x), 4).array
         for p in itertools.permutations(range(4)):
             assert np.allclose(arr, np.transpose(arr, p), atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_orders_two_to_nine(self, rng, m):
+        x = rng.normal(size=(9, 2))
+        got = moment_tensor(ProcessSample(x), m).array
+        assert np.allclose(got, naive_moment(x, m), atol=1e-12)
+        if m <= 8:  # the bytes of the letter-subscript einsum
+            letters = "ijklpqrs"[:m]
+            want = np.einsum(",".join("t" + c for c in letters) + "->" + letters, *[x] * m)
+            assert got.tobytes() == (want / len(x)).tobytes()
+
+    def test_budget_checked_before_allocation(self, monkeypatch, rng):
+        monkeypatch.setenv("CTENSOR_BUDGET", str(40**3))  # 40^4 entries would take 20 MB
+        sample = ProcessSample(rng.normal(size=(5, 40)))
+        assert moment_tensor(sample, 3).array.size == 40**3
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="40\\^4"):
+                moment_tensor(sample, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
     def test_folding_truncates(self):
         sample = fold_trajectories([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0]], period=2)

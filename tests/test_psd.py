@@ -18,7 +18,6 @@ from ctensor.hypergraph import laplacian, orbit_closure, signless_laplacian
 from ctensor.psd import (
     brute_force_min,
     check_psd,
-    exact_special_cases,
     necessary_checks,
     sufficient_b_class,
     sufficient_diag_dominance,
@@ -27,7 +26,7 @@ from ctensor.psd import (
 from ctensor.structure import b_class
 from ctensor.verdict import _coarse_band, _rounding_band, not_psd_verdict
 
-from oracles import exact_dense_form, random_circulant
+from oracles import exact_dense_form, exact_special_cases, random_circulant
 
 
 class TestNecessaryChecks:
@@ -221,15 +220,13 @@ class TestExactSpecialCases:
         assert zeros >= 20
 
     def test_negatively_alternative_boundary(self):
-        # negatively alternative associated tensor with alternating sum zero
-        c = np.array([1.0, -0.5, 0.0, -0.5])  # tail strictly nonpos & alt signs
-        a = expand(DiagRootSpec(4, c))
-        from ctensor.core import associated_array
-        from ctensor.structure import is_negatively_alternative
-
-        if is_negatively_alternative(associated_array(a)):
-            v = exact_special_cases(a)
-            assert v is not None
+        # the associated tensor is negatively alternative (odd offsets >= 0
+        # at even m) and its alternating sum is exactly zero
+        a = expand(DiagRootSpec(4, np.array([1.0, 0.5, 0.0, 0.5])))
+        v = exact_special_cases(a)
+        assert (v.decision, v.certificate) == ("psd", "negatively_alternative")
+        assert v.details["lambda_n_half"] == 0.0
+        assert check_psd(a, mode="certificates_only").certificate == "diag_root"
 
 
 class TestSignStructuredSubsumed:

@@ -40,11 +40,11 @@ from ctensor.structure import (
     hat_one_k,
     _parity_signed,
     is_doubly_circulant,
-    parity_signs,
 )
 
 from oracles import (
     naive_symmetrize,
+    parity_signs,
     random_circulant,
     roll_associated_coeffs,
     roll_is_circulant,

@@ -21,11 +21,10 @@ from ctensor.structure import (
     hat_one_k,
     is_doubly_circulant,
     is_k_alternative,
-    parity_signs,
     row_sign_decomposition,
 )
 
-from oracles import random_circulant
+from oracles import parity_signs, random_circulant
 
 
 def alternative_root(rng, m, n):
