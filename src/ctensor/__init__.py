@@ -9,7 +9,6 @@ multi-start numeric routes.
 from .admm import (
     AdmmParams,
     AdmmResult,
-    AdmmState,
     MultiStartReport,
     block_gradient,
     consensus_residual,
@@ -39,7 +38,6 @@ from .core import (
 from .diag_root import (
     CirculantMatrix,
     DiagRootSpec,
-    circulant_matrix,
     diag_root_vector,
     diag_root_eigenpairs,
     diag_root_form,
@@ -57,7 +55,7 @@ from .hypergraph import (
     signless_laplacian,
 )
 from .io import as_tensor, load_tensor, tensor_from_dict, tensor_to_dict
-from .moments import ProcessSample, fold_trajectories, moment_pushforward, moment_tensor
+from .moments import ProcessSample, fold_trajectories, moment_tensor
 from .psd import (
     brute_force_min,
     check_psd,

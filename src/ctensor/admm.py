@@ -47,13 +47,6 @@ class AdmmParams:
 
 
 @dataclass
-class AdmmState:
-    blocks: np.ndarray  # (m, n), rows unit norm
-    multiplier: np.ndarray  # (m, n), block b pairs with residual block b
-    iteration: int = 0
-
-
-@dataclass
 class AdmmResult:
     value: float
     point: np.ndarray
@@ -73,20 +66,22 @@ class MultiStartReport:
     success_rate: float | None = None
 
 
-def consensus_residual(state: AdmmState | np.ndarray) -> np.ndarray:
-    """Stacked cyclic differences (x^1-x^2, ..., x^m-x^1), zero iff consensus."""
-    blocks = state.blocks if isinstance(state, AdmmState) else np.asarray(state)
+def consensus_residual(blocks: np.ndarray) -> np.ndarray:
+    """Stacked cyclic differences (x^1-x^2, ..., x^m-x^1) of the (m, n) block
+    array, zero iff consensus."""
+    blocks = np.asarray(blocks)
     return (blocks - np.roll(blocks, -1, axis=0)).reshape(-1)
 
 
-def block_gradient(a: Tensor | np.ndarray, state: AdmmState | np.ndarray, j: int) -> np.ndarray:
-    """Gradient of f(x^1,...,x^m) = A x^1...x^m in block j (1-based).
+def block_gradient(a: Tensor | np.ndarray, blocks: np.ndarray, j: int) -> np.ndarray:
+    """Gradient of f(x^1,...,x^m) = A x^1...x^m in block j (1-based) at the
+    (m, n) block array.
 
     f is linear in each block, so the gradient is the contraction of A with
     every block except the j-th.
     """
     arr = a if isinstance(a, np.ndarray) else materialize(a).array
-    blocks = state.blocks if isinstance(state, AdmmState) else np.asarray(state)
+    blocks = np.asarray(blocks)
     if not 1 <= j <= arr.ndim:
         raise ValueError(f"block index {j} out of range [1, {arr.ndim}]")
     others = [blocks[None, k] for k in range(arr.ndim) if k != j - 1]

@@ -3,9 +3,10 @@ reproduce.
 
 Output is deterministic JSON: keys appear in construction order and floats
 carry 17 significant digits, so identical inputs and seeds give byte-identical
-bytes.  Malformed input exits with status 2, a dense materialization beyond
-the entry budget (``CTENSOR_BUDGET``) with status 3; analysis verdicts never
-change the exit status.
+bytes.  Malformed or out-of-range input (a sum beyond the float range too)
+exits with status 2, a dense materialization beyond the entry budget
+(``CTENSOR_BUDGET``) with status 3; analysis verdicts never change the exit
+status.
 """
 
 from __future__ import annotations
@@ -70,16 +71,12 @@ def _fmt(value) -> str:
     return json.dumps(str(value))
 
 
-def _emit(doc, out=None):
-    text = _fmt(doc)
-    (out or sys.stdout).write(text + "\n")
-
-
-def _csv_rows(rows, header, out=None):
-    fh = out or sys.stdout
-    fh.write(",".join(header) + "\n")
+def _csv_rows(rows: list[dict]) -> None:
+    """One CSV line per row under a header of the first row's keys."""
+    header = list(rows[0])
+    sys.stdout.write(",".join(header) + "\n")
     for row in rows:
-        fh.write(",".join(_fmt(v).strip('"') for v in row) + "\n")
+        sys.stdout.write(",".join(_fmt(row[k]).strip('"') for k in header) + "\n")
 
 
 def _load_circulant(path: str) -> CirculantTensor:
@@ -93,11 +90,11 @@ def _load_circulant(path: str) -> CirculantTensor:
 
 def cmd_eig(args) -> dict:
     a = _load_circulant(args.tensor)
+    disc = gershgorin(a)  # first: its exact sum stops roots beyond the float range
     spec = native_eigenvalues(a)
-    disc = gershgorin(a)
     ext = extreme_h_eigenvalue(a)
     return {
-        "lambdas": [{"re": z.real, "im": z.imag} for z in spec.lambdas],
+        "lambdas": spec.lambdas,
         "gershgorin": {"center": disc.center, "radius": disc.radius},
         "extreme": None
         if ext is None
@@ -127,7 +124,7 @@ def cmd_psd(args) -> dict:
     return {
         "decision": verdict.decision,
         "certificate": verdict.certificate,
-        "witness": None if verdict.witness is None else list(verdict.witness),
+        "witness": verdict.witness,
         "evidence": dict(sorted(verdict.details.items())),
     }
 
@@ -280,20 +277,26 @@ def cmd_reproduce(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ctensor")
+    # each command's handler, and the CSV rows of its document (None: JSON only)
+    p.set_defaults(csv=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("eig", help="native eigenvalues of a circulant tensor")
+    s.set_defaults(run=cmd_eig)
     s.add_argument("tensor")
 
     s = sub.add_parser("classify", help="structural classification")
+    s.set_defaults(run=cmd_classify)
     s.add_argument("tensor")
 
     s = sub.add_parser("psd", help="positive semi-definiteness decision")
+    s.set_defaults(run=cmd_psd)
     s.add_argument("tensor")
     s.add_argument("--numeric", action="store_true")
     s.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("minimize", help="multi-start sphere minimization")
+    s.set_defaults(run=cmd_minimize, csv=lambda d: [{k: v for k, v in d.items() if k != "point"}])
     s.add_argument("tensor")
     s.add_argument("--restarts", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
@@ -303,17 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("hypergraph", help="tensors of a rotation-closed hypergraph")
+    s.set_defaults(run=cmd_hypergraph)
     s.add_argument("graph")
     s.add_argument(
         "--tensor", choices=("adjacency", "laplacian", "signless"), default="adjacency"
     )
 
     s = sub.add_parser("moments", help="empirical moment tensor from CSV trajectories")
+    s.set_defaults(run=cmd_moments)
     s.add_argument("samples")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--period", type=int, required=True)
 
     s = sub.add_parser("reproduce", help="re-run the bundled regression targets")
+    s.set_defaults(run=cmd_reproduce, csv=lambda doc: doc.get("rows"))
     s.add_argument(
         "target", choices=("example1", "example2", "example3", "example4", "table1")
     )
@@ -332,35 +338,16 @@ def dispatch(argv) -> int:
         return 2 if exc.code else 0
 
     try:
-        if args.command == "eig":
-            _emit(cmd_eig(args))
-        elif args.command == "classify":
-            _emit(cmd_classify(args))
-        elif args.command == "psd":
-            _emit(cmd_psd(args))
-        elif args.command == "minimize":
-            doc = cmd_minimize(args)
-            if args.format == "csv":
-                keys = ["best_value", "iterations_mean", "time_mean_ms", "success_rate",
-                        "best_converged", "converged_share"]
-                _csv_rows([[doc[k] for k in keys]], keys)
-            else:
-                _emit(doc)
-        elif args.command == "hypergraph":
-            _emit(cmd_hypergraph(args))
-        elif args.command == "moments":
-            _emit(cmd_moments(args))
-        elif args.command == "reproduce":
-            doc = cmd_reproduce(args)
-            if args.format == "csv" and "rows" in doc:
-                keys = list(doc["rows"][0].keys())
-                _csv_rows([[r[k] for k in keys] for r in doc["rows"]], keys)
-            else:
-                _emit(doc)
+        doc = args.run(args)
+        rows = args.csv(doc) if args.csv and args.format == "csv" else None
+        if rows:
+            _csv_rows(rows)
+        else:
+            sys.stdout.write(_fmt(doc) + "\n")
     except BudgetError as exc:
         print(f"ctensor: budget: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ctensor: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,6 +8,7 @@ the first one becomes 1.  All index tuples in the public API are 1-based.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,10 +28,8 @@ class BudgetError(ValueError):
     """A dense materialization would exceed the entry budget."""
 
 
-def materialization_budget(budget: int | None = None) -> int:
+def materialization_budget() -> int:
     """Entry-count cap for dense materialization (CTENSOR_BUDGET overrides)."""
-    if budget is not None:
-        return int(budget)
     env = os.environ.get("CTENSOR_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
 
@@ -113,6 +112,13 @@ def _to0(idx, n: int, order: int) -> tuple:
     return tuple(i - 1 for i in idx)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: integers (numpy ones too), not floats or bools."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def circulant_from_root(root: DenseTensor | np.ndarray) -> CirculantTensor:
     """Circulant tensor whose first row tensor is ``root``."""
     if not isinstance(root, DenseTensor):
@@ -131,34 +137,36 @@ def entry(a: CirculantTensor, idx) -> float:
     return float(a.root.array[sigma])
 
 
+def _row(root: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row k (0-based) of the circulant with this root: every index shifted
+    back by k, one wrapping take per axis, the last one into ``out``."""
+    n = root.shape[0]
+    back = np.arange(-k, n - k)
+    row = root
+    for axis in range(root.ndim - 1):
+        row = row.take(back, axis=axis, mode="wrap")
+    return row.take(back, axis=root.ndim - 1, out=out, mode="wrap")
+
+
 def row_tensor(a: CirculantTensor, k: int) -> DenseTensor:
     """k-th row tensor (entries a_{k j2...jm}); k=1 returns the root."""
     if not 1 <= k <= a.dim:
         raise ValueError(f"row index {k} out of range [1, {a.dim}]")
-    arr = a.root.array
-    shift = (k - 1,) * arr.ndim
-    return DenseTensor(np.roll(arr, shift, axis=tuple(range(arr.ndim))))
+    return DenseTensor(_row(a.root.array, k - 1))
 
 
-def materialize(a: Tensor, budget: int | None = None) -> DenseTensor:
+def materialize(a: Tensor) -> DenseTensor:
     """Dense tensor agreeing with entry() everywhere (budget-capped)."""
     if isinstance(a, DenseTensor):
         return a
-    cap = materialization_budget(budget)
+    cap = materialization_budget()
     if a.dim**a.order > cap:
         raise BudgetError(
             f"dense materialization of {a.dim}^{a.order} entries exceeds budget {cap}"
         )
-    # row k (0-based) is the root with every index shifted back by k: one
-    # wrapping take per axis, the last one written in place
-    root, n = a.root.array, a.dim
-    out = np.empty((n,) * a.order)
-    for k in range(n):
-        back = np.arange(-k, n - k)
-        row = root
-        for axis in range(root.ndim - 1):
-            row = row.take(back, axis=axis, mode="wrap")
-        row.take(back, axis=root.ndim - 1, out=out[k], mode="wrap")
+    out = np.empty((a.dim,) * a.order)
+    for k in range(a.dim):
+        _row(a.root.array, k, out[k])
     return DenseTensor(out)
 
 

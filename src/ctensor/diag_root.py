@@ -29,9 +29,9 @@ from .core import (
     circulant_from_root,
     is_circulant,
 )
-from .exactsum import _scaled_ints
+from .exactsum import _fsum, _scaled_ints
 from .spectral import eigen_residual
-from .structure import hat_one_k, is_doubly_circulant, is_k_alternative
+from .structure import _parity_signed, hat_one_k, is_doubly_circulant, is_k_alternative
 from .verdict import (
     DIAG_ROOT,
     DOUBLY_CIRCULANT,
@@ -95,10 +95,6 @@ class CirculantMatrix:
         return np.fft.ifft(self.c) * n
 
 
-def circulant_matrix(spec: DiagRootSpec) -> CirculantMatrix:
-    return CirculantMatrix(c=spec.c.copy())
-
-
 def diag_root_eigenpairs(spec: DiagRootSpec, residual_tol: float = 1e-8):
     """All eigenpairs (mu_k, y_kl): y_j = eta^{j-1} with eta^{m-1} = w_k.
 
@@ -110,7 +106,7 @@ def diag_root_eigenpairs(spec: DiagRootSpec, residual_tol: float = 1e-8):
     if m < 3:
         raise ValueError("eigenpair enumeration needs order >= 3")
     a = expand(spec)
-    mus = circulant_matrix(spec).eigenvalues()
+    mus = CirculantMatrix(spec.c).eigenvalues()
     pairs = []
     for k in range(n):
         for l in range(m - 1):
@@ -161,7 +157,7 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
         return not_psd_verdict(a, witness, DIAG_ROOT, trail) or inconclusive(**trail)
 
     c0 = float(c[0])
-    lam0 = math.fsum(c)
+    lam0 = _fsum(c)
     trail["c0"] = c0
     trail["lambda0"] = lam0
     if c0 < 0:
@@ -169,12 +165,12 @@ def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
     if lam0 < 0:
         return refute("necessary-lambda0", np.ones(n))
     if n % 2 == 0:
-        lam_half = math.fsum(v * (-1.0) ** j for j, v in enumerate(c))
+        lam_half = _fsum(_parity_signed(c))
         trail["lambda_n_half"] = lam_half
         if lam_half < 0:
             return refute("necessary-alternating", hat_one_k(n, 1))
 
-    margin = math.fsum([c0] + [-abs(v) for v in c[1:]])
+    margin = _fsum(np.append(c0, -np.abs(c[1:])))
     trail["dominance_margin"] = margin
     if margin >= 0:
         trail["route"] = "dominance"

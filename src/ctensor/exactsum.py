@@ -25,7 +25,8 @@ _FSUM_MAX_EXP = 1020
 
 
 def _fsum(values) -> float:
-    """math.fsum(values), bit for bit, at array speed.
+    """math.fsum(values), bit for bit, at array speed, but finite wherever
+    the exactly rounded sum is.
 
     Error-free vector extraction (Rump, Ogita and Oishi, Accurate
     floating-point summation part I, SIAM J. Sci. Comput. 31(1), 2008): for a
@@ -34,14 +35,17 @@ def _fsum(values) -> float:
     q is a multiple of 2^-53 * sigma with sum(|q|) < sigma, so sum(q) is
     exact in any order.  Passes repeat on the remainder until it is zero, and
     math.fsum rounds the few exact partials once.  Inputs the passes cannot
-    take (max|x| near the float range, or a spread wider than the pass
-    bound) go to ``_fsum_ints``.  Unlike math.fsum this has no
-    intermediate overflow: only an exact sum beyond the float range raises
-    OverflowError.
+    take (inf or nan, max|x| near the float range, or a spread wider than
+    the pass bound) go to ``_fsum_ints``, and so do short inputs where
+    math.fsum meets an intermediate overflow: at every size, only an exact
+    sum beyond the float range raises OverflowError, and says so.
     """
     x = np.asarray(values, dtype=float).reshape(-1)
     if x.size <= _FSUM_CUTOFF:
-        return math.fsum(x.tolist())
+        try:
+            return math.fsum(x.tolist())
+        except OverflowError:
+            return _fsum_ints(x)
     size_bits = (x.size + 1).bit_length()
     parts = []
     for start in range(0, x.size, _FSUM_CHUNK):
@@ -52,10 +56,8 @@ def _fsum(values) -> float:
             top = max(p.max(), -p.min())
             if top == 0:
                 break
-            if not math.isfinite(top):  # inf and nan: math.fsum's rules
-                return math.fsum(x)
             exp = math.frexp(top)[1]
-            if exp + size_bits > _FSUM_MAX_EXP:
+            if not math.isfinite(top) or exp + size_bits > _FSUM_MAX_EXP:
                 return _fsum_ints(x)
             sigma = math.ldexp(1.0, exp + bits)
             np.add(p, sigma, out=q)
@@ -73,11 +75,16 @@ def _fsum(values) -> float:
 def _fsum_ints(x: np.ndarray) -> float:
     """``_fsum`` of a flat float array with a nonzero entry, from its
     integer form x == z * 2^e: the exact sum of z, one correctly rounded int
-    division, so math.fsum's value."""
-    if not np.isfinite(x).all():  # inf and nan: math.fsum's rules
-        return math.fsum(x)
+    division, so math.fsum's value.  An inf or nan decides the sum by
+    math.fsum's rules, which look at those entries only."""
+    special = ~np.isfinite(x)
+    if special.any():
+        return math.fsum(x[special].tolist())
     ints, e = _scaled_ints(x)
-    return int(ints.sum()) / (1 << -e)
+    try:
+        return int(ints.sum()) / (1 << -e)
+    except OverflowError:
+        raise OverflowError("the exact sum lies beyond the float range") from None
 
 
 def _scaled_ints(x) -> tuple[np.ndarray, int]:

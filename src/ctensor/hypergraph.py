@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CirculantTensor, circulant_from_root
+from .core import CirculantTensor, _integer, circulant_from_root
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,13 @@ def _incident(g: Hypergraph, j: int):
 
 def orbit_closure(generators, n: int, directed: bool = False) -> Hypergraph:
     """Smallest rotation-closed edge/arc set containing the generators."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("need at least 2 vertices")
     m = None
     edges = set()
     for gen in generators:
-        tup = tuple(int(v) for v in gen)
+        tup = tuple(_integer(v, "vertex") for v in gen)
         if m is None:
             m = len(tup)
         elif len(tup) != m:
@@ -106,9 +107,8 @@ def adjacency_tensor(g: Hypergraph) -> CirculantTensor:
 
 
 def degree_tensor(g: Hypergraph) -> CirculantTensor:
-    root = np.zeros((g.n,) * (g.m - 1))
-    root[(0,) * (g.m - 1)] = g.degree
-    return circulant_from_root(root)
+    """Diagonal tensor of the common vertex degree."""
+    return _circulant(g, 0.0, g.degree)
 
 
 def laplacian(g: Hypergraph) -> CirculantTensor:
@@ -122,6 +122,11 @@ def signless_laplacian(g: Hypergraph) -> CirculantTensor:
 
 
 def hypergraph_from_dict(doc: dict) -> Hypergraph:
-    return orbit_closure(
-        doc["generators"], int(doc["n"]), bool(doc.get("directed", False))
-    )
+    """The closure of ``{"n", "generators"[, "directed"][, "m"]}``."""
+    directed = doc.get("directed", False)
+    if not isinstance(directed, bool):
+        raise ValueError(f"directed must be true or false, got {directed!r}")
+    g = orbit_closure(doc["generators"], doc["n"], directed)
+    if "m" in doc and _integer(doc["m"], "m") != g.m:
+        raise ValueError(f"m = {doc['m']} but the generators have {g.m} vertices")
+    return g

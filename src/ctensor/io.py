@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .core import CirculantTensor, DenseTensor, Tensor, circulant_from_root
+from .core import CirculantTensor, DenseTensor, Tensor, _integer, circulant_from_root
 from .diag_root import DiagRootSpec, expand
 
 
@@ -27,7 +27,7 @@ def _floats(values) -> np.ndarray:
 def tensor_from_dict(doc: dict):
     kind = doc.get("kind")
     if kind == "circulant":
-        m, n = int(doc["order"]), int(doc["dim"])
+        m, n = _integer(doc["order"], "order"), _integer(doc["dim"], "dim")
         root = _floats(doc["root"])
         if root.size != n ** (m - 1):
             raise ValueError(
@@ -35,13 +35,13 @@ def tensor_from_dict(doc: dict):
             )
         return circulant_from_root(root.reshape((n,) * (m - 1)))
     if kind == "dense":
-        m, n = int(doc["order"]), int(doc["dim"])
+        m, n = _integer(doc["order"], "order"), _integer(doc["dim"], "dim")
         entries = _floats(doc["entries"])
         if entries.size != n**m:
             raise ValueError(f"dense tensor needs {n ** m} entries, got {entries.size}")
         return DenseTensor(entries.reshape((n,) * m))
     if kind == "diag_root":
-        return DiagRootSpec(int(doc["order"]), _floats(doc["c"]))
+        return DiagRootSpec(_integer(doc["order"], "order"), _floats(doc["c"]))
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 

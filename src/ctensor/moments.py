@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetError, DenseTensor, Tensor, materialization_budget, matrix_product
+from .core import BudgetError, DenseTensor, materialization_budget
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,3 @@ def moment_tensor(sample: ProcessSample, m: int) -> DenseTensor:
     operands = [v for i in range(m) for v in (x, [m, i])]
     acc = np.einsum(*operands, list(range(m))) / x.shape[0]
     return DenseTensor(acc)
-
-
-def moment_pushforward(moment: Tensor, b: np.ndarray) -> DenseTensor:
-    """Moment tensor of y = B^T x, i.e. the mode-uniform product with B."""
-    return matrix_product(moment, np.asarray(b, dtype=float))

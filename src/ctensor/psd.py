@@ -91,10 +91,14 @@ def necessary_checks(a: CirculantTensor):
 def sufficient_diag_dominance(a: CirculantTensor) -> PsdVerdict | None:
     """Certificate: diagonal entry dominates the associated-tensor 1-norm.
     Rounding is monotone, so only a tie of c0 with the once-rounded radius
-    needs the exact margin c0 - sum |off|."""
+    needs the exact margin c0 - sum |off|, and a radius beyond the float
+    range exceeds every c0."""
     _require_even_circulant(a)
     off = np.abs(a.off_diagonal)
-    radius = _fsum(off)
+    try:
+        radius = _fsum(off)
+    except OverflowError:
+        return None
     c0 = a.diagonal_entry
     if c0 > radius or (c0 == radius and _fsum(np.append(c0, -off)) >= 0):
         return psd_verdict(DIAG_DOMINANCE, c0=c0, associated_abs_sum=radius)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ctensor import presets
 from ctensor.admm import (
     AdmmParams,
-    AdmmState,
     block_gradient,
     consensus_residual,
     minimize,
@@ -66,11 +65,6 @@ class TestConsensusResidual:
             np.linalg.norm(blocks[b] - blocks[(b + 1) % 4]) ** 2 for b in range(4)
         )
         assert np.linalg.norm(res) ** 2 == pytest.approx(expected, rel=1e-12)
-
-    def test_state_wrapper(self, rng):
-        blocks = rng.normal(size=(3, 2))
-        state = AdmmState(blocks=blocks, multiplier=np.zeros(6))
-        assert np.array_equal(consensus_residual(state), consensus_residual(blocks))
 
 
 class TestBlockGradient:

@@ -227,6 +227,38 @@ class TestDispatch:
         rc, _ = run_cli(["eig", str(p)], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eig", "classify", "psd"])
+    def test_sum_beyond_float_range_exit2(self, command, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"kind": "circulant", "order": 4, "dim": 2, "root": [1e308] * 8}))
+        rc = dispatch([command, str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "ctensor: the exact sum lies beyond the float range\n"
+
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [
+            ("hypergraph", {"n": 6, "directed": "false", "generators": [[1, 2, 4]]}),
+            ("hypergraph", {"n": 6.9, "generators": [[1, 2, 4]]}),
+            ("hypergraph", {"n": 6, "generators": [[1, 2, 4.5]]}),
+            ("hypergraph", {"n": 6, "generators": [[True, 2, 4]]}),
+            ("hypergraph", {"n": 6, "m": 3, "generators": [[1, 2, 4, 5]]}),
+            ("eig", {"kind": "circulant", "order": 3.7, "dim": 2, "root": [1, 2, 3, 4]}),
+            ("eig", {"kind": "circulant", "order": 3, "dim": 2.0, "root": [1, 2, 3, 4]}),
+            ("eig", {"kind": "diag_root", "order": 4.0, "c": [1, 2]}),
+        ],
+        ids=["directed-string", "n-float", "vertex-float", "vertex-bool", "m-mismatch",
+             "order-float", "dim-float", "diag-order-float"],
+    )
+    def test_field_types_not_coerced_exit2(self, kind, doc, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        rc = dispatch([kind, str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("ctensor: ") and err.count("\n") == 1
+
     def test_verdict_does_not_change_exit(self, tmp_path, capsys):
         p = tmp_path / "neg.json"
         p.write_text(json.dumps({"kind": "diag_root", "order": 4, "c": [-1.0, 0.0]}))

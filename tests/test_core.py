@@ -127,11 +127,6 @@ class TestRows:
         for idx in itertools.product(range(1, 4), repeat=3):
             assert dense.entry(idx) == entry(a, idx)
 
-    def test_materialize_budget(self):
-        a = random_circulant(np.random.default_rng(0), 3, 4)
-        with pytest.raises(ValueError):
-            materialize(a, budget=10)
-
     def test_budget_env_override(self, monkeypatch):
         a = random_circulant(np.random.default_rng(0), 3, 4)
         monkeypatch.setenv("CTENSOR_BUDGET", "10")

@@ -9,7 +9,6 @@ from ctensor.core import apply_full, circulant_from_root, entry, materialize
 from ctensor.diag_root import (
     CirculantMatrix,
     DiagRootSpec,
-    circulant_matrix,
     diag_root_eigenpairs,
     diag_root_form,
     diag_root_psd,
@@ -18,6 +17,7 @@ from ctensor.diag_root import (
     doubly_reduce,
     expand,
 )
+from ctensor.psd import check_psd
 from ctensor.spectral import (
     alternative_native,
     eigen_residual,
@@ -69,16 +69,16 @@ class TestCirculantMatrix:
         assert np.array_equal(cm.matrix, expected)
 
     def test_eigja_n2(self):
-        mu = circulant_matrix(DiagRootSpec(4, np.array([1.0, 1.0]))).eigenvalues()
+        mu = CirculantMatrix(DiagRootSpec(4, np.array([1.0, 1.0])).c).eigenvalues()
         assert sorted(mu.real) == pytest.approx([0.0, 2.0])
 
     def test_constant_c0(self):
-        mu = circulant_matrix(DiagRootSpec(3, np.array([2.0, 0.0, 0.0]))).eigenvalues()
+        mu = CirculantMatrix(DiagRootSpec(3, np.array([2.0, 0.0, 0.0])).c).eigenvalues()
         assert np.allclose(mu, 2.0)
 
     def test_benchmark_dft(self):
         spec = presets.by_name("example6")
-        mu = circulant_matrix(spec).eigenvalues()
+        mu = CirculantMatrix(spec.c).eigenvalues()
         n = 4
         for k in range(n):
             w = np.exp(2j * np.pi * k / n)
@@ -99,8 +99,8 @@ class TestCirculantMatrix:
 
     def test_matrix_eigenvalue_set_matches(self):
         spec = presets.by_name("example6")
-        mu = np.sort_complex(circulant_matrix(spec).eigenvalues())
-        ev = np.sort_complex(np.linalg.eigvals(circulant_matrix(spec).matrix))
+        mu = np.sort_complex(CirculantMatrix(spec.c).eigenvalues())
+        ev = np.sort_complex(np.linalg.eigvals(CirculantMatrix(spec.c).matrix))
         assert np.allclose(mu, ev, atol=1e-8)
 
 
@@ -121,7 +121,7 @@ class TestEigenpairs:
 
     def test_all_lambdas_from_matrix(self, rng):
         spec = random_spec(rng, 4, 3)
-        mus = circulant_matrix(spec).eigenvalues()
+        mus = CirculantMatrix(spec.c).eigenvalues()
         for lam, _ in diag_root_eigenpairs(spec):
             assert min(abs(lam - mu) for mu in mus) <= 1e-10 * max(1.0, abs(lam))
 
@@ -136,7 +136,7 @@ class TestEigenpairs:
         for m, n in [(3, 2), (4, 3), (4, 4), (3, 6)]:
             spec = random_spec(rng, m, n)
             native = native_eigenvalues(expand(spec)).lambdas
-            mus = circulant_matrix(spec).eigenvalues()
+            mus = CirculantMatrix(spec.c).eigenvalues()
             for lam in native:
                 assert min(abs(lam - mu) for mu in mus) <= 1e-9 * max(1.0, abs(lam))
 
@@ -148,7 +148,7 @@ class TestEigenpairs:
                 continue
             spec = random_spec(rng, m, n)
             native = np.sort_complex(native_eigenvalues(expand(spec)).lambdas)
-            mus = np.sort_complex(circulant_matrix(spec).eigenvalues())
+            mus = np.sort_complex(CirculantMatrix(spec.c).eigenvalues())
             assert np.allclose(native, mus, atol=1e-8)
 
     def test_non_coprime_multisets_can_differ(self):
@@ -156,7 +156,7 @@ class TestEigenpairs:
         # the multisets genuinely differ for generic coefficients
         spec = DiagRootSpec(3, np.array([1.0, 2.0, -3.0, 0.5]))
         native = native_eigenvalues(expand(spec)).lambdas
-        mus = circulant_matrix(spec).eigenvalues()
+        mus = CirculantMatrix(spec.c).eigenvalues()
         assert not np.allclose(np.sort_complex(native), np.sort_complex(mus), atol=1e-6)
         for lam in native:
             assert min(abs(lam - mu) for mu in mus) <= 1e-9
@@ -222,15 +222,33 @@ class TestDiagRootPsd:
         assert v.decision == "not_psd"
         assert apply_full(expand(DiagRootSpec(4, np.array([2.0, -2.0, -2.0, -2.0]))), v.witness) < 0
 
-    def test_block_alternating_refutation(self):
-        # 1-alternative tail with failed dominance: witness is the
-        # normalized alternating vector
+    def test_one_alternative_tail_refuted_by_alternating_check(self):
+        # 1-alternative tail with failed dominance: lambda_{n/2} =
+        # 1 - 2 - 2 - 1 = -4 < 0, so the necessary check on the alternating
+        # eigenvector refutes before any block route is tried
         c = np.array([1.0, 2.0, -2.0, 1.0])
-        # necessary checks pass: lambda0 = 2, alternating sum = 1*1 -2 +(-2)(-1)... compute
         v = diag_root_psd(DiagRootSpec(4, c))
         assert v.decision == "not_psd"
+        assert v.details["route"] == "necessary-alternating"
+        assert v.details["lambda_n_half"] == -4.0
         a = expand(DiagRootSpec(4, c))
         assert apply_full(a, v.witness) < 0
+
+    @pytest.mark.parametrize(
+        "c, k", [((1.0, 0.0, 2.0, 0.0), 2), ((1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0), 4)]
+    )
+    def test_block_alternating_routes(self, c, k):
+        # a k-alternative tail (k >= 2) with c_0 >= 0, both real native
+        # eigenvalues positive and a negative dominance margin: only the
+        # stride-k block route decides it, here and inside check_psd
+        spec = DiagRootSpec(4, np.array(c))
+        route = f"block-alternating-k{k}"
+        a = expand(spec)
+        for v in (diag_root_psd(spec), check_psd(a, mode="certificates_only")):
+            assert (v.decision, v.certificate) == ("not_psd", "diag_root")
+            assert v.details["route"] == route
+            assert v.details["dominance_margin"] < 0
+            assert exact_dense_form(a, v.witness) < 0
 
     def test_sign_structured_tails_refuted_by_necessary_checks(self):
         # with c_j <= 0 (j >= 1) lambda_0, and with a 1-alternative tail

@@ -75,14 +75,16 @@ def test_cancellation_to_zero_and_to_one_ulp(size):
 
 
 def test_no_intermediate_overflow():
-    x = [1e308, 1e308, -1e308] + [0.0] * _FSUM_CUTOFF
-    with pytest.raises(OverflowError, match="intermediate overflow"):
-        math.fsum(x)
-    assert _fsum(x) == 1e308
-    assert same(_fsum([1e308, 1e308, -1e308, -1e308] + [0.0] * _FSUM_CUTOFF), 0.0)
-    # an exact sum beyond the float range does overflow
-    with pytest.raises(OverflowError):
-        _fsum([1e308, 1e308] + [0.0] * _FSUM_CUTOFF)
+    # on both sides of the math.fsum cutoff: 3, _FSUM_CUTOFF and 3 + _FSUM_CUTOFF entries
+    for pad in (0, _FSUM_CUTOFF - 3, _FSUM_CUTOFF):
+        x = [1e308, 1e308, -1e308] + [0.0] * pad
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(x)
+        assert _fsum(x) == 1e308
+        assert same(_fsum([1e308, 1e308, -1e308, -1e308] + [0.0] * pad), 0.0)
+        # an exact sum beyond the float range does overflow, and says so
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            _fsum([1e308, 1e308] + [0.0] * pad)
 
 
 @pytest.mark.parametrize(

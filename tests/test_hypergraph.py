@@ -173,7 +173,9 @@ class TestOneRootPass:
             tracemalloc.stop()
         assert peak <= 2.5 * 60**3 * 8  # the root's bytes
 
-    @pytest.mark.parametrize("build", [adjacency_tensor, laplacian, signless_laplacian])
+    @pytest.mark.parametrize(
+        "build", [adjacency_tensor, laplacian, signless_laplacian, degree_tensor]
+    )
     def test_irregular_edge_set_rejected(self, build):
         # a directly built edge set need not be rotation-closed
         for g in (Hypergraph(5, 3, frozenset({(1, 2, 3), (2, 3, 4)}), False),
@@ -189,3 +191,13 @@ class TestSerialization:
         )
         assert g.n == 6 and g.m == 3 and g.directed
         assert len(g.edges) == 6
+
+    def test_integer_fields(self):
+        # numpy integers count as integers; floats and booleans are not
+        # truncated into vertices or sizes
+        g = orbit_closure([np.array([1, 2, 4])], np.int64(6))
+        assert g == orbit_closure([[1, 2, 4]], 6) and type(g.n) is int
+        for gens, n in (([[1, 2, 4.0]], 6), ([[1, 2, np.True_]], 6), ([[1, 2, 4]], 6.0),
+                        ([[1, 2, 4]], True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                orbit_closure(gens, n)

@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctensor.core import BudgetError, apply_full, is_circulant, perm_matrix
+from ctensor.core import BudgetError, apply_full, is_circulant, matrix_product, perm_matrix
 from ctensor.moments import (
     ProcessSample,
     fold_trajectories,
-    moment_pushforward,
     moment_tensor,
 )
 from ctensor.psd import brute_force_min
@@ -128,7 +127,7 @@ class TestEvenOrderSemidefiniteness:
 class TestPushforward:
     def test_identity(self, rng):
         mt = moment_tensor(ProcessSample(rng.normal(size=(40, 3))), 3)
-        out = moment_pushforward(mt, np.eye(3))
+        out = matrix_product(mt, np.eye(3))
         assert np.allclose(out.array, mt.array, atol=1e-12)
 
     def test_shift_invariance_of_circulant_moment(self, rng):
@@ -136,7 +135,7 @@ class TestPushforward:
         base = rng.normal(size=(500, 1))
         x = np.concatenate([base, base, base], axis=1)  # constant process
         mt = moment_tensor(ProcessSample(x), 3)
-        out = moment_pushforward(mt, perm_matrix(3))
+        out = matrix_product(mt, perm_matrix(3))
         assert np.allclose(out.array, mt.array, atol=1e-12)
 
     def test_sample_level_oracle(self, rng):
@@ -144,7 +143,7 @@ class TestPushforward:
         x = rng.normal(size=(4000, 2))
         b = rng.normal(size=(2, 3))
         mt_x = moment_tensor(ProcessSample(x), 3)
-        pushed = moment_pushforward(mt_x, b)
+        pushed = matrix_product(mt_x, b)
         y = x @ b
         mt_y = moment_tensor(ProcessSample(y), 3)
         assert np.allclose(pushed.array, mt_y.array, atol=1e-10)
@@ -152,4 +151,4 @@ class TestPushforward:
     def test_shape_mismatch(self, rng):
         mt = moment_tensor(ProcessSample(rng.normal(size=(10, 3))), 2)
         with pytest.raises(ValueError):
-            moment_pushforward(mt, np.ones((4, 2)))
+            matrix_product(mt, np.ones((4, 2)))

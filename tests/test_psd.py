@@ -151,6 +151,18 @@ class TestDiagDominance:
         v = sufficient_diag_dominance(expand(DiagRootSpec(4, np.array([0.0, 1.0]))))
         assert v is None
 
+    def test_radius_beyond_float_range(self):
+        # c_0 = 1e308 against off-diagonal magnitudes summing to 2e308: no
+        # certificate, and the chain (lambda_0 = 1e308, an intermediate
+        # overflow for math.fsum) runs to its end
+        root = np.zeros(8)
+        root[:3] = [1e308, 1e308, -1e308]
+        a = circulant_from_root(root.reshape(2, 2, 2))
+        assert sufficient_diag_dominance(a) is None
+        v = check_psd(a, mode="certificates_only")
+        assert v.decision == "inconclusive"
+        assert v.details["necessary"][1] == ("first_native", 1e308, True)
+
     def test_certified_implies_nonnegative_minimum(self, rng):
         found = 0
         while found < 25:
