@@ -7,11 +7,12 @@ there), so it has the closed-form solution -b/||b||.  Multi-start from random
 unit vectors recovers the global sphere minimum of A x^m with high
 probability on small instances.
 
-All restarts iterate together on an (m, n, R) block array, the restarts on
-the last, contiguous axis: every block update is one contraction over the
-restart axis plus elementwise steps along rows of R, and a restart leaves
-the batch as soon as it meets the stopping rule.  A single solve is the
-R = 1 case.
+All restarts iterate together on one (2, m, n, R) array of blocks and
+multipliers, the restarts on the last, contiguous axis.  A block update is
+one GEMM of the symmetrized tensor against the outer product of the other
+blocks, plus elementwise steps along rows of R, all written in place; a
+restart leaves the batch as soon as it meets the stopping rule.  A single
+solve is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, _contract, materialize, symmetrize
+from .core import (
+    DenseTensor,
+    Tensor,
+    _contract,
+    _stored,
+    circulant_from_root,
+    materialize,
+    symmetrize,
+)
 
 
 @dataclass(frozen=True)
@@ -88,21 +97,68 @@ def block_gradient(a: Tensor | np.ndarray, blocks: np.ndarray, j: int) -> np.nda
     return _contract(np.moveaxis(arr, j - 1, -1), others)[0]
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, kept as a length-1 axis."""
-    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+def _norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Euclidean norms over ``axis``, kept as a length-1 axis."""
+    return np.sqrt((v * v).sum(axis=axis, keepdims=True))
 
 
-def subproblem(b: np.ndarray, prev: np.ndarray) -> np.ndarray:
+def subproblem(
+    b: np.ndarray, prev: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
     """argmin of b^T x over the unit sphere: -b/||b||, or prev when b ~ 0.
 
-    Works row by row on a stack of vectors (norms over the last axis).
+    Works on a stack of vectors, the norms taken over ``axis``.  The result
+    goes to ``out`` when given, which may be ``prev`` itself.
     """
-    norm = _norms(b)
+    norm = _norms(b, axis)
+    if not norm.min() <= 1e-14:
+        # b/(-norm) is -b/norm to the bit: the sign of a quotient is exact
+        return np.divide(b, np.negative(norm, out=norm), out=out)
     small = norm <= 1e-14
-    if not small.any():
-        return -b / norm
-    return np.where(small, prev, -b / np.where(small, 1.0, norm))
+    x = np.where(small, prev, -b / np.where(small, 1.0, norm))
+    if out is None:
+        return x
+    np.copyto(out, x)
+    return out
+
+
+class _Batch:
+    """The live restarts of one attempt and the scratch arrays an iteration
+    writes into.
+
+    ``state`` is (2, m, n, R): blocks x = state[0] and multipliers
+    lam = state[1], the restarts on the last, contiguous axis.  Block j's
+    gradient reads the outer product of the other blocks, (n,)*(m-1) + (R,),
+    built by m-2 multiplies of broadcast views into ``levels``; its
+    (n^(m-1), R) view is the GEMM operand (the other block itself when
+    m = 2).  Every view is taken once here, so a batch is built again, at
+    its new width, only when restarts leave it.
+    """
+
+    def __init__(self, state: np.ndarray):
+        _, m, n, num = state.shape
+        x, lam = self.x, self.lam = state
+        self.flat = state.reshape(-1, num)
+        self.old = np.empty_like(self.flat)
+        dlam = self.dlam = np.empty_like(x)
+        # the cyclic differences lam[j] - lam[j-1] and x[j] - x[j+1], each
+        # as the bulk of the rows plus the one that wraps around
+        self.lam_diffs = ((lam[1:], lam[:-1], dlam[1:]), (lam[0], lam[-1], dlam[0]))
+        self.x_diffs = ((x[:-1], x[1:], dlam[:-1]), (x[-1], x[0], dlam[-1]))
+        self.g = np.empty((n, num))
+        self.t = np.empty((n, num))
+        levels = [np.empty((n,) * k + (num,)) for k in range(2, m)]
+        # per block j: outer-product steps, GEMM operand, lam[j] - lam[j-1],
+        # its two consensus neighbours and the block itself
+        self.updates = []
+        for j in range(m):
+            others = [x[k] for k in range(m) if k != j]
+            prod, steps = others[0], []
+            for level, right in zip(levels, others[1:]):
+                steps.append((prod[..., None, :], right, level))
+                prod = level
+            operand = prod.reshape(-1, num)
+            self.updates.append((steps, operand, dlam[j], x[j - 1], x[(j + 1) % m], x[j]))
 
 
 def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
@@ -111,24 +167,21 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     Within a restart the blocks update in Gauss-Seidel order.  A restart
     stops when its full iterate (all blocks and the multiplier) moves less
     than epsilon; the rest rerun from their own start with the penalty
-    scaled by 4, up to ``params.escalations`` attempts.  ``arr`` is the
-    symmetrized tensor, so contracting its leading m-1 modes with the other
-    blocks gives the gradient of any block: one array serves them all.
+    scaled by 4, up to ``params.escalations`` attempts.
 
-    Blocks and multipliers are (m, n, R) arrays with the restarts on the
-    last, contiguous axis, so every elementwise update, norm and stopping
-    test runs along rows of R.  ``_contract`` takes the other blocks as
-    (R, n) stacks: a contiguous copy of every block in that layout is kept
-    beside the iterate and refreshed when the block updates.  A block is
-    -b/||b||, not divided again by its computed norm, which would only move
-    it in its last bits.  Returns the final blocks (m, n, R), the iteration
-    counts summed over attempts and the converged flags.
+    ``arr`` is the symmetrized tensor, so any block's gradient is one GEMM,
+    ``arr.reshape(n, -1) @ outer``, against the outer product of the other
+    blocks (see ``_Batch``): one array serves every block.  Blocks and
+    multipliers are one (2, m, n, R) array updated in place, so the saved
+    iterate, its step and the step norm take one call each, and every
+    elementwise update and norm runs along rows of R.  A block is -b/||b||,
+    not divided again by its computed norm, which would only move it in its
+    last bits.  Returns the final blocks (m, n, R), the iteration counts
+    summed over attempts and the converged flags.
     """
     num, n = starts.shape
     m = arr.ndim
-    others = [[k for k in range(m) if k != j] for j in range(m)]
-    nxt = np.roll(np.arange(m), -1)
-    prv = np.roll(np.arange(m), 1)
+    flat = arr.reshape(n, -1)
     blocks = np.empty((m, n, num))
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
@@ -137,33 +190,70 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
         if live.size == 0:
             break
         beta = params.beta * 4.0**attempt
-        rows = np.repeat(starts[None, live], m, axis=0)  # (m, R, n), for _contract
-        x = rows.transpose(0, 2, 1).copy()
-        lam = np.zeros_like(x)
+        state = np.zeros((2, m, n, live.size))
+        state[0] = starts[live].T
+        batch = _Batch(state)
         for it in range(1, params.max_iters + 1):
-            x_old, lam_old = x.copy(), lam
-            dlam = lam - lam[prv]  # block j pairs with lam[j] - lam[j-1]
-            for j in range(m):
-                g = _contract(arr, [rows[k] for k in others[j]]).T
-                b = g - dlam[j] - beta * (x[j - 1] + x[nxt[j]])
-                rows[j] = subproblem(b.T, rows[j])
-                x[j] = rows[j].T
-            lam = lam - beta * (x - x[nxt])
-            dx, dl = x - x_old, lam - lam_old
-            step = np.sqrt((dx * dx).sum(axis=(0, 1)) + (dl * dl).sum(axis=(0, 1)))
+            x, lam, dlam, g, t = batch.x, batch.lam, batch.dlam, batch.g, batch.t
+            np.copyto(batch.old, batch.flat)
+            # block j pairs with lam[j] - lam[j-1]
+            for left, right, out in batch.lam_diffs:
+                np.subtract(left, right, out=out)
+            for steps, outer, dlam_j, x_prev, x_next, x_j in batch.updates:
+                for left, right, level in steps:
+                    np.multiply(left, right, out=level)
+                np.subtract(np.dot(flat, outer, out=g), dlam_j, out=g)
+                np.multiply(np.add(x_prev, x_next, out=t), beta, out=t)
+                subproblem(np.subtract(g, t, out=g), x_j, axis=0, out=x_j)
+            # lam -= beta (x - x[j+1]), the difference formed in dlam
+            for left, right, out in batch.x_diffs:
+                np.subtract(left, right, out=out)
+            np.subtract(lam, np.multiply(dlam, beta, out=dlam), out=lam)
+            d = np.subtract(batch.flat, batch.old, out=batch.old)
+            step = np.sqrt(np.multiply(d, d, out=d).sum(axis=0))
+            if not step.min() < params.epsilon:
+                continue
             done = step < params.epsilon
-            if done.any():
-                idx = live[done]
-                blocks[..., idx] = x[..., done]
-                iterations[idx] += it
-                converged[idx] = True
-                keep = ~done
-                live, x, lam, rows = live[keep], x[..., keep], lam[..., keep], rows[:, keep]
-                if live.size == 0:
-                    break
-        iterations[live] += params.max_iters
-        blocks[..., live] = x
+            idx = live[done]
+            blocks[..., idx] = x[..., done]
+            iterations[idx] += it
+            converged[idx] = True
+            live = live[~done]
+            if live.size == 0:
+                break
+            state = np.ascontiguousarray(state[..., ~done])
+            batch = _Batch(state)
+        else:  # max_iters ran out with restarts still live
+            iterations[live] += params.max_iters
+            blocks[..., live] = batch.x
     return blocks, iterations, converged
+
+
+# symmetrizing sums m! entries and a block gradient n^(m-1) of them, and the
+# iteration squares gradients: with both sums below 2^_RANGE_EXP no step
+# comes near the float range
+_RANGE_EXP = 500
+
+
+def _into_range(a: Tensor) -> tuple[Tensor, int]:
+    """``a`` times 2^-shift, and the shift.
+
+    The shift is 0, and ``a`` itself is returned, unless m! n^(m-1) max|a|
+    reaches 2^_RANGE_EXP, that is unless the entries come near the float
+    range.  Then the entries are scaled to max|a| in [1, 2), the scale the
+    default penalty suits, and 2^shift is a float.  The scaling is exact
+    (bar entries that underflow, far below the largest), and it moves
+    neither the sphere minimizer nor the sign of the minimum.
+    """
+    stored = _stored(a)
+    top = math.frexp(float(np.abs(stored).max()))[1]
+    reach = (math.factorial(a.order) * a.dim ** (a.order - 1)).bit_length()
+    if top + reach < _RANGE_EXP:
+        return a, 0
+    scaled = np.ldexp(stored, 1 - top)
+    if isinstance(a, DenseTensor):
+        return DenseTensor(scaled), top - 1
+    return circulant_from_root(scaled), top - 1
 
 
 def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult]:
@@ -172,7 +262,12 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
     The iteration runs on the symmetrized tensor: the objective A x^m is
     unchanged, and exchangeable blocks keep the consensus coupling stable
     (the raw multilinear form of a one-sided tensor can cycle forever).
+    A tensor with entries near the float range runs scaled (``_into_range``)
+    and its values are scaled back: a value beyond the float range is
+    reported as an infinity of its sign.
     """
+    a, shift = _into_range(a)
+    unit = 2.0**shift
     arr = materialize(symmetrize(a)).array
     m, n = arr.ndim, arr.shape[0]
     starts = np.asarray(starts, dtype=float)
@@ -191,7 +286,7 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
     time_s = (time.perf_counter() - t0) / len(starts)
     return [
         AdmmResult(
-            value=float(values[i]),
+            value=float(values[i]) * unit,
             point=points[i],
             iterations=int(iterations[i]),
             converged=bool(converged[i]),
@@ -244,7 +339,9 @@ def multi_start(
     # minima come in families (x and -x, cyclic shifts) whose values tie up
     # to rounding; a tolerance keeps the chosen point from hinging on ulps
     low = values.min()
-    best = results[int(np.argmax(values <= low + 1e-12 * max(1.0, abs(low))))]
+    # a minimum beyond the float range (an infinity) ties only with itself
+    tol = 1e-12 * max(1.0, abs(low)) if math.isfinite(low) else 0.0
+    best = results[int(np.argmax(values <= low + tol))]
     success = None
     if reference is not None:
         success = float(np.mean(np.abs(values - reference) <= 1e-5))

@@ -30,6 +30,7 @@ from .core import (
     symmetrize,
 )
 from .diag_root import expand
+from .exactsum import _fsum
 from .hypergraph import hypergraph_from_dict, laplacian, adjacency_tensor, signless_laplacian
 from .io import as_tensor, load_tensor, tensor_to_dict
 from .moments import fold_trajectories, moment_tensor
@@ -90,7 +91,11 @@ def _load_circulant(path: str) -> CirculantTensor:
 
 def cmd_eig(args) -> dict:
     a = _load_circulant(args.tensor)
-    disc = gershgorin(a)  # first: its exact sum stops roots beyond the float range
+    # the exact sum of |root| bounds every |lambda_k|, the Gershgorin disc
+    # and the extreme eigenvalue: it stops, before the FFT, a root whose
+    # spectrum may leave the float range
+    _fsum(np.abs(a.root.array))
+    disc = gershgorin(a)
     spec = native_eigenvalues(a)
     ext = extreme_h_eigenvalue(a)
     return {

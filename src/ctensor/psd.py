@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, multi_start
+from .admm import AdmmParams, _into_range, multi_start
 from .core import CirculantTensor, _contract, materialize
 from .diag_root import DiagRootSpec, diag_root_psd, diag_root_vector, doubly_psd
 from .exactsum import _fsum
@@ -166,10 +166,14 @@ def check_psd(
 
     # tighter iteration budget than the user-facing default: escalation
     # resolves the slow-consensus cases far faster than a long stall does
-    report = multi_start(a, AdmmParams(seed=seed, max_iters=1200, escalations=3), restarts)
-    best = report.best
-    scale = max(1.0, _fsum(np.abs(a.root.array)))
-    trail["numeric_best"] = best.value
+    params = AdmmParams(seed=seed, max_iters=1200, escalations=3)
+    # the stage runs on 2^-shift a (a itself unless its entries come near
+    # the float range), where the threshold -1e-6 max(1, sum|root|) reads
+    # as below; the witness is verified on a
+    scaled, shift = _into_range(a)
+    best = multi_start(scaled, params, restarts).best
+    scale = max(2.0**-shift, _fsum(np.abs(scaled.root.array)))
+    trail["numeric_best"] = best.value * 2.0**shift
     trail["numeric_converged"] = best.converged
     if best.value < -1e-6 * scale:
         v = not_psd_verdict(a, best.point, NUMERIC, trail)

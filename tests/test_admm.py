@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,35 @@ class TestRestartLayout:
             assert abs(rep.results[i].value - float(apply_full(a, blocks[i, 0]))) <= 1e-10
 
 
+class TestKernelOrders:
+    """``admm._iterate`` against ``oracles.reference_iterate`` at orders
+    other than example5's 4, one restart and a batch, with and without
+    penalty escalation."""
+
+    @pytest.mark.parametrize("escalating", [False, True])
+    @pytest.mark.parametrize("restarts", [1, 7])
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (6, 3)])
+    def test_same_iterations_and_values(self, m, n, restarts, escalating):
+        a = random_circulant(np.random.default_rng([m, n]), m, n)
+        if escalating:
+            params = AdmmParams(seed=0, max_iters=30, escalations=3)
+        else:
+            params = AdmmParams(seed=0)
+        rep = multi_start(a, params, restarts=restarts)
+        starts = np.stack(
+            [np.random.default_rng([0, i]).normal(size=n) for i in range(restarts)]
+        )
+        starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
+        arr = materialize(symmetrize(a)).array
+        blocks, iterations, converged = reference_iterate(arr, starts, params)
+        assert [r.iterations for r in rep.results] == iterations.tolist()
+        assert [r.converged for r in rep.results] == converged.tolist()
+        for r, block in zip(rep.results, blocks):
+            assert abs(r.value - float(apply_full(a, block[0]))) <= 1e-10
+        if escalating:
+            assert any(r.iterations > params.max_iters for r in rep.results)
+
+
 class TestMinimize:
     def test_one_dense_array(self):
         # the symmetrized tensor serves every block's gradient: besides the
@@ -326,6 +356,31 @@ class TestMultiStart:
             bf = brute_force_min(a)
             assert ms.best.value >= bf.value - 1e-4
             assert ms.best.value <= bf.value + 1e-3
+
+    def test_entries_near_float_range(self):
+        # the solve runs on the root times 2^-1023 and scales values back:
+        # the same iterations, points and values as that tensor's own solve
+        root = np.zeros((2, 2, 2))
+        root.flat[:3] = [1e308, 1e308, -1e308]
+        small = multi_start(circulant_from_root(np.ldexp(root, -1023)), restarts=4)
+        big = circulant_from_root(root)
+        for a in (big, materialize(big)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = multi_start(a, restarts=4)
+            for r, s in zip(rep.results, small.results):
+                assert (r.iterations, r.converged) == (s.iterations, s.converged)
+                assert np.array_equal(r.point, s.point)
+                assert r.value == s.value * 2.0**1023
+
+    def test_minimum_beyond_float_range(self):
+        # A x^4 = -4e308 at x = (1, 1)/sqrt(2): values scale back to -inf
+        a = circulant_from_root(np.full((2, 2, 2), -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = multi_start(a, restarts=4)
+        assert rep.best is rep.results[0]
+        assert np.all(rep.values == -math.inf)
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):

@@ -335,6 +335,16 @@ class TestModuleEntry:
         assert out.returncode == 2
         assert out.stdout == "" and out.stderr.startswith("ctensor: ")
 
+    def test_eig_beyond_float_range_prints_only_the_message(self, tmp_path):
+        # the spectrum's bound is decided before the FFT runs, so numpy
+        # never warns
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"kind": "circulant", "order": 3, "dim": 2,
+                                 "root": [1e308, 1e308, 0, 0]}))
+        out = self.run_module("eig", str(p))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "ctensor: the exact sum lies beyond the float range\n"
+
     def test_eig_matches_dispatch(self, example1_path, capsys):
         rc, expected = run_cli(["eig", example1_path], capsys)
         out = self.run_module("eig", example1_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -462,6 +463,34 @@ class TestCheckPsdChain:
             assert v.decision == "inconclusive"
             assert v.certificate == "numeric_evidence"
             assert v.details["numeric_best"] >= -1e-6
+
+    def test_numeric_stage_near_float_range(self):
+        # finite entries whose symmetrization and gradients would overflow:
+        # the stage runs on the root scaled by a power of two, warning-free
+        root = np.zeros((2, 2, 2))
+        root.flat[:3] = [1e308, 1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = check_psd(circulant_from_root(root))
+        assert v.decision == "inconclusive" and v.certificate == "numeric_evidence"
+        assert 0 < v.details["numeric_best"] < math.inf
+
+    def test_numeric_refutation_near_float_range(self, rng):
+        # an indefinite root moved near the float range is still refuted,
+        # its witness re-verified on the unscaled tensor
+        while True:
+            root = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+            a = circulant_from_root(root)
+            if check_psd(a, mode="certificates_only").decision == "inconclusive":
+                if brute_force_min(a).value < -1e-2:
+                    break
+        big = circulant_from_root(np.ldexp(root, 1020))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = check_psd(big)
+            value = apply_full(big, v.witness)
+        assert v.decision == "not_psd"
+        assert value == v.details["witness_value"] < 0
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
