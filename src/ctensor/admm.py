@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DenseTensor,
-    Tensor,
-    _contract,
-    _stored,
-    circulant_from_root,
-    materialize,
-    symmetrize,
-)
+from .core import Tensor, _contract, _scaled, materialize, symmetrize
 
 
 @dataclass(frozen=True)
@@ -245,15 +237,11 @@ def _into_range(a: Tensor) -> tuple[Tensor, int]:
     (bar entries that underflow, far below the largest), and it moves
     neither the sphere minimizer nor the sign of the minimum.
     """
-    stored = _stored(a)
-    top = math.frexp(float(np.abs(stored).max()))[1]
+    top = math.frexp(a.max_abs)[1]
     reach = (math.factorial(a.order) * a.dim ** (a.order - 1)).bit_length()
     if top + reach < _RANGE_EXP:
         return a, 0
-    scaled = np.ldexp(stored, 1 - top)
-    if isinstance(a, DenseTensor):
-        return DenseTensor(scaled), top - 1
-    return circulant_from_root(scaled), top - 1
+    return _scaled(a, 1 - top), top - 1
 
 
 def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult]:
@@ -297,18 +285,27 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
     ]
 
 
+def _starts(seed: int, count: int, n: int) -> np.ndarray:
+    """``count`` standard-normal start vectors (count, n) from one generator
+    seeded by ``seed``.  Rows fill in order, so row i depends only on
+    (seed, i)."""
+    return np.random.default_rng(seed).normal(size=(count, n))
+
+
 def minimize(
     a: Tensor,
     params: AdmmParams | None = None,
     x0: np.ndarray | None = None,
 ) -> AdmmResult:
     """Run the block-update / multiplier-update iteration from one start
-    (``x0``, or a draw seeded by ``params.seed``) until the full iterate
-    moves less than epsilon, escalating the penalty when it does not."""
+    until the full iterate moves less than epsilon, escalating the penalty
+    when it does not.
+
+    The start is ``x0`` or, by default, row 0 of ``_starts``: the start of
+    restart 0 in ``multi_start`` with the same seed, so the two agree."""
     params = params or AdmmParams()
-    if x0 is None:
-        x0 = np.random.default_rng(params.seed).normal(size=a.dim)
-    return _solve(a, params, np.asarray(x0, dtype=float)[None])[0]
+    x0 = _starts(params.seed, 1, a.dim) if x0 is None else np.asarray(x0, dtype=float)[None]
+    return _solve(a, params, x0)[0]
 
 
 def multi_start(
@@ -319,22 +316,23 @@ def multi_start(
 ) -> MultiStartReport:
     """Run ``restarts`` seeded solves together and keep the best.
 
-    Restart i draws its start from a generator seeded by (seed, i), and its
-    result is that of ``minimize`` from that start: the same iterations and
-    convergence, the value equal up to rounding.  All restarts iterate
-    together as one batch, so every ``AdmmResult.time_s`` is the batch wall
-    time shared evenly across the restarts.  ``best`` is the lowest-index
-    restart whose value is within a relative 1e-12 of the minimum.  When a
+    The starts are the rows of one draw seeded by ``params.seed``
+    (``_starts``).  Rows fill in order, so restart i's start depends only
+    on (seed, i), not on ``restarts``: a run's first k results are those of
+    the same run with k restarts, and restart 0 starts where ``minimize``
+    does.  Restart i's result is that of ``minimize`` from its start: the
+    same iterations and convergence, the value equal up to rounding (the
+    batch width moves the GEMM's last bits).  All restarts iterate together
+    as one batch, so every ``AdmmResult.time_s`` is the batch wall time
+    shared evenly across the restarts.  ``best`` is the lowest-index restart
+    whose value is within a relative 1e-12 of the minimum.  When a
     reference optimum is given, a run counts as a success if its value is
     within 1e-5 of it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     params = params or AdmmParams()
-    starts = np.stack(
-        [np.random.default_rng([params.seed, i]).normal(size=a.dim) for i in range(restarts)]
-    )
-    results = _solve(a, params, starts)
+    results = _solve(a, params, _starts(params.seed, restarts, a.dim))
     values = np.array([r.value for r in results])
     # minima come in families (x and -x, cyclic shifts) whose values tie up
     # to rounding; a tolerance keeps the chosen point from hinging on ulps

@@ -39,6 +39,8 @@ class DenseTensor:
     """Explicit order-m, dimension-n multi-array, row-major, 1-based indices."""
 
     array: np.ndarray
+    # max |entry|, found by the finiteness check when the tensor is built
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=float)
@@ -49,11 +51,13 @@ class DenseTensor:
             raise ValueError("tensor dimension must be >= 2")
         if arr.shape != (n,) * arr.ndim:
             raise ValueError(f"all modes must have equal length, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        top = float(max(arr.max(), -arr.min()))  # nan or inf if an entry is
+        if not math.isfinite(top):
             raise ValueError("tensor entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "max_abs", top)
 
     @property
     def order(self) -> int:
@@ -88,6 +92,11 @@ class CirculantTensor:
     def diagonal_entry(self) -> float:
         """The common diagonal entry (first entry of the root)."""
         return float(self.root.array[(0,) * self.root.order])
+
+    @property
+    def max_abs(self) -> float:
+        """max |entry|, the root's."""
+        return self.root.max_abs
 
     @property
     def off_diagonal(self) -> np.ndarray:
@@ -320,7 +329,30 @@ def symmetrize(a: Tensor):
     sum runs on the root in the same order, so the result is the dense
     one's first row bit for bit.  Besides the gather, at most two
     root-sized arrays are live at a time.
+
+    Every entry is an average of finite entries, but a partial sum of up
+    to m! of them can overflow when m! max|a| nears the float range.  From
+    2^1023 on (half the range, a margin for rounding) the sum runs on the
+    entries times 2^-e, max|a| < 2^e, and the averages are scaled back:
+    exact, bar entries that underflow, far below the largest.  Below it the
+    entries are summed as they are.
     """
+    if math.factorial(a.order) * a.max_abs < 2.0**1023:
+        return _coset_average(a)
+    shift = math.frexp(a.max_abs)[1]
+    return _scaled(_coset_average(_scaled(a, -shift)), shift)
+
+
+def _scaled(a: Tensor, shift: int) -> Tensor:
+    """``a`` times 2^shift, a tensor of the same kind."""
+    scaled = np.ldexp(_stored(a), shift)
+    if isinstance(a, DenseTensor):
+        return DenseTensor(scaled)
+    return circulant_from_root(scaled)
+
+
+def _coset_average(a: Tensor) -> Tensor:
+    """``symmetrize``'s coset sum, divided by m!."""
     m = a.order
     if isinstance(a, DenseTensor):
         arr = a.array

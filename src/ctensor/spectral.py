@@ -63,13 +63,34 @@ def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     return np.add.reduce(bins[skew], axis=0, initial=0.0)
 
 
+# 2^123 below the float range: room for the FFT's growth, a small multiple
+# of n^2 at most, at any n
+_NEAR_RANGE = 2.0**900
+
+
 def native_eigenvalues(a: CirculantTensor) -> NativeSpectrum:
-    """All n native eigenvalues lambda_k = sum_s coeffs[s] * w_k^s."""
+    """All n native eigenvalues lambda_k = sum_s coeffs[s] * w_k^s.
+
+    Raises OverflowError when a sum forming a coefficient or an eigenvalue
+    overflows.  Each such sum, the FFT's partial ones included, is at most
+    sum|root| <= size * max|root| times a factor polynomial in n, so while
+    size * max|root| stays below _NEAR_RANGE none can.  Above it the sums
+    run with numpy's overflow reports off; the entries are finite, so only
+    an overflow makes the result non-finite, and one check decides it.
+    """
+    if a.root.array.size * a.max_abs < _NEAR_RANGE:
+        return _native_spectrum(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = _native_spectrum(a)
+    if not np.isfinite(spec.lambdas).all():
+        raise OverflowError("a native eigenvalue sum overflows the float range")
+    return spec
+
+
+def _native_spectrum(a: CirculantTensor) -> NativeSpectrum:
     coeffs = associated_coeffs(a)
-    n = a.dim
     # ifft uses the +2*pi*i*k*s/n kernel, so n * ifft is exactly this sum
-    lambdas = np.fft.ifft(coeffs) * n
-    return NativeSpectrum(lambdas=lambdas, coeffs=coeffs)
+    return NativeSpectrum(lambdas=np.fft.ifft(coeffs) * a.dim, coeffs=coeffs)
 
 
 def native_eigenvector(n: int, k: int) -> np.ndarray:

@@ -145,9 +145,7 @@ class TestRestartLayout:
     @staticmethod
     def _reference(a, seed, restarts=100):
         arr = materialize(symmetrize(a)).array
-        starts = np.stack(
-            [np.random.default_rng([seed, i]).normal(size=a.dim) for i in range(restarts)]
-        )
+        starts = np.random.default_rng(seed).normal(size=(restarts, a.dim))
         starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
         return reference_iterate(arr, starts, AdmmParams(seed=seed))
 
@@ -188,9 +186,7 @@ class TestKernelOrders:
         else:
             params = AdmmParams(seed=0)
         rep = multi_start(a, params, restarts=restarts)
-        starts = np.stack(
-            [np.random.default_rng([0, i]).normal(size=n) for i in range(restarts)]
-        )
+        starts = np.random.default_rng(0).normal(size=(restarts, n))
         starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
         arr = materialize(symmetrize(a)).array
         blocks, iterations, converged = reference_iterate(arr, starts, params)
@@ -200,6 +196,37 @@ class TestKernelOrders:
             assert abs(r.value - float(apply_full(a, block[0]))) <= 1e-10
         if escalating:
             assert any(r.iterations > params.max_iters for r in rep.results)
+
+
+class TestSeedingContract:
+    """Restart i's start is row i of one draw seeded by ``params.seed``: it
+    depends on (seed, i) alone, and restart 0 starts where ``minimize``
+    does."""
+
+    @staticmethod
+    def _tensor(name):
+        if name == "example5":
+            return expand(presets.by_name(name))
+        return random_circulant(np.random.default_rng([3, 3]), 3, 3)
+
+    @pytest.mark.parametrize("name", ["example5", "circulant33"])
+    def test_short_run_is_a_prefix(self, name):
+        a, params = self._tensor(name), AdmmParams(seed=0)
+        long = multi_start(a, params, restarts=100).results[:8]
+        short = multi_start(a, params, restarts=8).results
+        for r, s in zip(long, short):
+            assert (r.iterations, r.converged) == (s.iterations, s.converged)
+            # the batch width moves the GEMM's last bits
+            assert abs(r.value - s.value) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["example5", "circulant33"])
+    def test_one_restart_is_minimize(self, name):
+        a, params = self._tensor(name), AdmmParams(seed=0)
+        one = multi_start(a, params, restarts=1).results[0]
+        alone = minimize(a, params)
+        assert one.value == alone.value
+        assert one.point.tobytes() == alone.point.tobytes()
+        assert one.iterations == alone.iterations
 
 
 class TestMinimize:
@@ -284,9 +311,9 @@ class TestMultiStart:
     def _assert_matches_one_at_a_time(a, params, restarts):
         batch = multi_start(a, params, restarts=restarts)
         assert len(batch.results) == restarts
+        starts = np.random.default_rng(params.seed).normal(size=(restarts, a.dim))
         for i, r in enumerate(batch.results):
-            x0 = np.random.default_rng([params.seed, i]).normal(size=a.dim)
-            alone = minimize(a, params, x0=x0)
+            alone = minimize(a, params, x0=starts[i])
             assert r.iterations == alone.iterations
             assert r.converged == alone.converged
             assert r.value == pytest.approx(alone.value, abs=1e-12)
@@ -300,10 +327,10 @@ class TestMultiStart:
         # the batch wall time is shared evenly
         assert len({r.time_s for r in batch.results}) == 1
 
-    @pytest.mark.parametrize("max_iters", [30, 40])
+    @pytest.mark.parametrize("max_iters", [28, 40])
     def test_escalation_inside_batch(self, max_iters):
         # at 40 iterations some restarts stop at the first penalty and the
-        # others escalate; at 30 some stop at the second and the others never
+        # others escalate; at 28 some stop at the second and the others never
         a = expand(presets.by_name("example5"))
         params = AdmmParams(seed=0, max_iters=max_iters, escalations=3)
         batch = self._assert_matches_one_at_a_time(a, params, 8)
@@ -312,10 +339,11 @@ class TestMultiStart:
         assert any(attempt > 1 for attempt, _ in outcomes)
 
     @pytest.mark.parametrize(
-        "name,iterations_mean", [("example5", 40.54), ("example6", 295.81)]
+        "name,iterations_mean", [("example5", 40.29), ("example6", 338.98)]
     )
     def test_seed0_table1_pinned(self, name, iterations_mean):
-        # read from the one-restart-at-a-time solver this batch replaced
+        # read from oracles.reference_iterate, whose summation order is not
+        # the kernel's
         rep = multi_start(
             expand(presets.by_name(name)),
             AdmmParams(seed=0),

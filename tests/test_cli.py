@@ -132,12 +132,13 @@ class TestDispatch:
         assert doc["success_rate"] >= 0.9
         assert doc["best_converged"] is True
         assert doc["converged_share"] == 1.0
-        # on a short iteration budget 6 of 8 restarts converge at the second
-        # penalty and the best is one of them; on a shorter one none does
+        # on a short iteration budget 5 of 8 restarts converge at the second
+        # penalty but the best (the lowest-index of the tied values) is one
+        # that did not; on a shorter one none does
         from ctensor import cli
         from ctensor.admm import AdmmParams
 
-        for max_iters, share, best in ((30, 0.75, True), (20, 0.0, False)):
+        for max_iters, share, best in ((29, 0.625, False), (20, 0.0, False)):
             short = functools.partial(AdmmParams, max_iters=max_iters, escalations=2)
             monkeypatch.setattr(cli, "AdmmParams", short)
             rc, out = run_cli(["minimize", str(p), "--restarts", "8", "--seed", "0"], capsys)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -56,8 +57,13 @@ class TestConstruction:
         assert a.order == 4 and a.dim == 2
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            circulant_from_root(np.array([1.0, np.nan]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                circulant_from_root(np.array([1.0, bad]))
+
+    def test_max_abs(self):
+        assert DenseTensor(np.array([[1.0, -3.0], [2.0, 0.0]])).max_abs == 3.0
+        assert circulant_from_root(np.array([-0.5, 0.25])).max_abs == 0.5
 
     def test_rejects_dim1(self):
         with pytest.raises(ValueError):
@@ -290,6 +296,34 @@ class TestSymmetrize:
     def test_toeplitz_stays_toeplitz(self, rng):
         a = random_circulant(rng, 3, 4)  # circulant is Toeplitz
         assert is_toeplitz(materialize(symmetrize(a)), 1e-12)
+
+    def test_entries_near_float_range(self):
+        # a partial sum overflows, no average does: the result is the
+        # root times 2^-1023 symmetrized and scaled back, dense or circulant
+        root = np.zeros((2, 2, 2))
+        root.flat[:3] = [1e308, 1e308, -1e308]
+        small = symmetrize(circulant_from_root(np.ldexp(root, -1023)))
+        a = circulant_from_root(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, d = symmetrize(a), symmetrize(materialize(a))
+        assert np.array_equal(s.root.array, np.ldexp(small.root.array, 1023))
+        assert np.array_equal(materialize(s).array, d.array)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e306])
+    def test_ordinary_entries_unscaled(self, rng, monkeypatch, scale):
+        # below m! max|a| = 2^1023 the entries are summed unscaled
+        from ctensor import core
+
+        monkeypatch.setattr(core, "_scaled", None)
+        arr = rng.normal(size=(2, 2, 2, 2)) * scale
+        sym = symmetrize(DenseTensor(arr)).array
+        assert np.allclose(sym, naive_symmetrize(arr), rtol=1e-12, atol=0)
+        root = rng.normal(size=(3, 3, 3)) * scale
+        s = symmetrize(circulant_from_root(root))
+        assert np.array_equal(
+            materialize(s).array, symmetrize(materialize(circulant_from_root(root))).array
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ class TestNativeEigenvalues:
     def test_alternative_native_odd_n_rejected(self, rng):
         with pytest.raises(ValueError):
             alternative_native(random_circulant(rng, 3, 3))
+
+    @pytest.mark.parametrize(
+        "root", [[[1e308, 1e308], [0.0, 0.0]], [[0.0, 1.5e308], [1.5e308, 0.0]]]
+    )
+    def test_beyond_float_range_raises(self, root):
+        # an eigenvalue sum, then a coefficient sum, overflows
+        a = circulant_from_root(np.array(root))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                native_eigenvalues(a)
+
+    def test_near_float_range_finite(self):
+        # the two large entries share a coefficient and cancel
+        a = circulant_from_root(np.array([[1e308, 1e308], [-1e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = native_eigenvalues(a).lambdas
+        assert np.array_equal(lam, [1e308, 1e308])
 
     def test_even_m_even_n_diag_pattern(self):
         from ctensor.diag_root import DiagRootSpec, expand
