@@ -41,7 +41,6 @@ from .diag_root import (
     diag_root_vector,
     diag_root_eigenpairs,
     diag_root_form,
-    diag_root_psd,
     doubly_psd,
     doubly_reduce,
     expand,

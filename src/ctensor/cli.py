@@ -30,7 +30,6 @@ from .core import (
     symmetrize,
 )
 from .diag_root import expand
-from .exactsum import _fsum
 from .hypergraph import hypergraph_from_dict, laplacian, adjacency_tensor, signless_laplacian
 from .io import as_tensor, load_tensor, tensor_to_dict
 from .moments import fold_trajectories, moment_tensor
@@ -91,13 +90,12 @@ def _load_circulant(path: str) -> CirculantTensor:
 
 def cmd_eig(args) -> dict:
     a = _load_circulant(args.tensor)
-    # the exact sum of |root| bounds every |lambda_k|, the Gershgorin disc
-    # and the extreme eigenvalue: it stops, before the FFT, a root whose
-    # spectrum may leave the float range
-    _fsum(np.abs(a.root.array))
+    # every output raises OverflowError on a sum beyond the float range; the
+    # exact sums (the disc radius, an extreme eigenvalue) go first, so where
+    # one of them overflows it is the one reported
     disc = gershgorin(a)
-    spec = native_eigenvalues(a)
     ext = extreme_h_eigenvalue(a)
+    spec = native_eigenvalues(a)
     return {
         "lambdas": spec.lambdas,
         "gershgorin": {"center": disc.center, "radius": disc.radius},

@@ -2,12 +2,18 @@
 
 A diagonal root places c_0, ..., c_{n-1} on the root's diagonal and zeros
 elsewhere.  Such tensors have a fully explicit eigenstructure (that of an
-n x n circulant matrix built from c) and an exact semi-definiteness decision
-in several regimes.  A doubly circulant tensor has a circulant root, so all
-of its row tensors coincide and its form factors through sum(x).  Its exact
-route works on the root form as a polynomial with integer coefficients: float
-entries are dyadic rationals, so the root scaled by one power of two is an
-integer array, and the reduction carries no rounding.
+n x n circulant matrix built from c).  Their semi-definiteness needs no
+decision of its own: the necessary checks and diagonal dominance in
+``psd.check_psd`` decide it exactly wherever the paper's theorem does,
+except in the block-alternating regimes (a k-alternative tail, k >= 2),
+where dominance is also necessary and the chain's diagonal-root stage
+refutes with the block sign vector.
+
+A doubly circulant tensor has a circulant root, so all of its row tensors
+coincide and its form factors through sum(x).  Its exact route works on the
+root form as a polynomial with integer coefficients: float entries are dyadic
+rationals, so the root scaled by one power of two is an integer array, and
+the reduction carries no rounding.
 """
 
 from __future__ import annotations
@@ -29,11 +35,10 @@ from .core import (
     circulant_from_root,
     is_circulant,
 )
-from .exactsum import _fsum, _scaled_ints
+from .exactsum import _scaled_ints
 from .spectral import eigen_residual
-from .structure import _parity_signed, hat_one_k, is_doubly_circulant, is_k_alternative
+from .structure import is_doubly_circulant
 from .verdict import (
-    DIAG_ROOT,
     DOUBLY_CIRCULANT,
     NOT_PSD,
     PsdVerdict,
@@ -130,63 +135,6 @@ def diag_root_form(spec: DiagRootSpec, x) -> float:
         raise ValueError(f"expected vector of length {n}")
     ct = CirculantMatrix(spec.c).matrix.T
     return float(x @ (ct @ x ** (spec.order - 1)))
-
-
-def diag_root_psd(spec: DiagRootSpec) -> PsdVerdict:
-    """Exact semi-definiteness decision for diagonal-root circulant tensors.
-
-    Order of attack: the necessary sign checks on c_0 and the two real
-    native eigenvalues; the dominance condition c_0 >= sum |c_j|; the
-    block-alternating regimes (k >= 2) where dominance is also necessary.
-    A non-positive or 1-alternative tail needs no route of its own: there
-    lambda_0 or lambda_{n/2} is the exactly rounded sum of c_0 and the
-    -|c_j|, the margin itself, so the necessary checks refute every such
-    input whose margin is negative.  All sums are exact (fsum), so the
-    comparisons carry no floating tolerance.  Inconclusive results defer to
-    the general chain.
-    """
-    m, n = spec.order, spec.dim
-    if m % 2:
-        raise ValueError("semi-definiteness needs even order")
-    c = spec.c
-    a = expand(spec)
-    trail: dict = {"route": None}
-
-    def refute(route, witness):
-        trail["route"] = route
-        return not_psd_verdict(a, witness, DIAG_ROOT, trail) or inconclusive(**trail)
-
-    c0 = float(c[0])
-    lam0 = _fsum(c)
-    trail["c0"] = c0
-    trail["lambda0"] = lam0
-    if c0 < 0:
-        return refute("necessary-c0", np.eye(1, n)[0])
-    if lam0 < 0:
-        return refute("necessary-lambda0", np.ones(n))
-    if n % 2 == 0:
-        lam_half = _fsum(_parity_signed(c))
-        trail["lambda_n_half"] = lam_half
-        if lam_half < 0:
-            return refute("necessary-alternating", hat_one_k(n, 1))
-
-    margin = _fsum(np.append(c0, -np.abs(c[1:])))
-    trail["dominance_margin"] = margin
-    if margin >= 0:
-        trail["route"] = "dominance"
-        return psd_verdict(DIAG_ROOT, **trail)
-
-    if n % 2 == 0:
-        half = n // 2
-        for k in range(2, half + 1):
-            if half % k:
-                continue
-            if is_k_alternative(c[1:], k):
-                # form value at the block witness is n * margin < 0
-                return refute(f"block-alternating-k{k}", hat_one_k(n, k) / math.sqrt(n))
-
-    trail["route"] = "undecided"
-    return inconclusive(**trail)
 
 
 def doubly_reduce(a: CirculantTensor, x) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 _FSUM_CUTOFF = 1024
 # entries per extraction chunk: its two work arrays stay in cache
 _FSUM_CHUNK = 2**14
-# extraction passes per chunk before the bucket path takes over: each pass
+# extraction passes per chunk before ``_fsum_ints`` takes over: each pass
 # takes about 38 bits of the chunk's exponent range
 _FSUM_PASSES = 8
 # extraction runs while e + bit length of (N + 1) stays at most this, with

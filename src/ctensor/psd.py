@@ -1,18 +1,20 @@
 """Positive semi-definiteness decision chain for even-order circulant tensors.
 
-Order of attack: cheap necessary sign checks, exact special-structure routes
-(diagonal root, doubly circulant), then the sufficiency certificates
-(diagonal dominance, B0/B class), and finally, when allowed, a multi-start
-sphere minimization.  Certificates are sound; numeric evidence can refute
-(with a verified witness) but never certifies semi-definiteness.
+Order of attack: cheap necessary sign checks, the sufficiency certificates
+(diagonal dominance, B0/B class), the structural routes (diagonal root,
+doubly circulant), and finally, when allowed, a multi-start sphere
+minimization.  Every route is sound, so the order picks the route that
+reports, never the decision; numeric evidence can refute (with a verified
+witness) but never certifies semi-definiteness.
 
 The sign-structured associated tensors (non-positive, negatively
 alternative) need no stage of their own.  A non-positive associated tensor
 has lambda_0 = c0 - sum|off|, a negatively alternative one lambda_{n/2} =
 c0 - sum|off|.  The necessary checks decide those signs exactly: they refute
 every such input with a negative one, and diagonal dominance certifies the
-rest.  ``tests/oracles.py`` keeps the sign-structured decision as the
-reference the tests check this against.
+rest, diagonal roots with a non-positive or 1-alternative tail included.
+``tests/oracles.py`` keeps both decisions as the references the tests check
+this against.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, _into_range, multi_start
+from .admm import AdmmParams, multi_start
 from .core import CirculantTensor, _contract, materialize
-from .diag_root import DiagRootSpec, diag_root_psd, diag_root_vector, doubly_psd
+from .diag_root import diag_root_vector, doubly_psd
 from .exactsum import _fsum
 from .spectral import alternative_native, first_native
-from .structure import b_class, hat_one_k, is_doubly_circulant
+from .structure import b_class, hat_one_k, is_doubly_circulant, is_k_alternative
 from .verdict import (
     B0_CERT,
     B_CERT,
     DIAG_DOMINANCE,
+    DIAG_ROOT,
     INCONCLUSIVE,
     NUMERIC,
     PsdVerdict,
@@ -116,6 +119,22 @@ def sufficient_b_class(a: CirculantTensor) -> PsdVerdict | None:
     return None
 
 
+def _diag_root_refutation(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
+    """Refute a diagonal root c whose tail is k-alternative (k >= 2, 2k | n):
+    once dominance has failed, the form at the block sign vector is
+    n * (c_0 - sum |c_j|) < 0.  Other diagonal roots are marked undecided."""
+    c = diag_root_vector(a)
+    if c is None:
+        return None
+    n = a.dim
+    for k in range(2, n // 2 + 1):
+        if n % (2 * k) == 0 and is_k_alternative(c[1:], k):
+            details = {"route": f"block-alternating-k{k}", **trail}
+            return not_psd_verdict(a, hat_one_k(n, k) / math.sqrt(n), DIAG_ROOT, details)
+    trail["diag_root"] = "undecided"
+    return None
+
+
 def check_psd(
     a: CirculantTensor,
     mode: str = "with_numeric",
@@ -124,10 +143,11 @@ def check_psd(
 ) -> PsdVerdict:
     """Run the full decision chain; the first firing route wins.
 
-    ``certificates_only`` stops before the numeric stage.  The numeric stage
-    refutes when the best multi-start value falls below -1e-6 * scale and the
-    point re-evaluates negative; a nonnegative numeric minimum is reported as
-    evidence only (inconclusive), never as a PSD claim.
+    The order: necessary checks, diagonal dominance, B0/B class, the
+    diagonal-root refutation, ``doubly_psd`` and, unless
+    ``certificates_only``, the numeric stage.  That refutes when the best
+    multi-start value is negative and ``not_psd_verdict`` verifies the
+    point; otherwise its minimum is evidence only (inconclusive).
     """
     if mode not in ("with_numeric", "certificates_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -140,13 +160,15 @@ def check_psd(
         verdict.details.update(trail)
         return verdict
 
-    c = diag_root_vector(a)
-    if c is not None:
-        v = diag_root_psd(DiagRootSpec(a.order, c))
-        if v.decision != INCONCLUSIVE:
+    for route in (sufficient_diag_dominance, sufficient_b_class):
+        v = route(a)
+        if v is not None:
             v.details.update(trail)
             return v
-        trail["diag_root"] = v.details.get("route", "undecided")
+
+    v = _diag_root_refutation(a, trail)
+    if v is not None:
+        return v
 
     if a.order >= 4 and is_doubly_circulant(a):
         v = doubly_psd(a)
@@ -155,27 +177,16 @@ def check_psd(
             return v
         trail["doubly_circulant"] = v.details.get("route", "undecided")
 
-    for route in (sufficient_diag_dominance, sufficient_b_class):
-        v = route(a)
-        if v is not None:
-            v.details.update(trail)
-            return v
-
     if mode == "certificates_only":
         return inconclusive(**trail)
 
     # tighter iteration budget than the user-facing default: escalation
     # resolves the slow-consensus cases far faster than a long stall does
     params = AdmmParams(seed=seed, max_iters=1200, escalations=3)
-    # the stage runs on 2^-shift a (a itself unless its entries come near
-    # the float range), where the threshold -1e-6 max(1, sum|root|) reads
-    # as below; the witness is verified on a
-    scaled, shift = _into_range(a)
-    best = multi_start(scaled, params, restarts).best
-    scale = max(2.0**-shift, _fsum(np.abs(scaled.root.array)))
-    trail["numeric_best"] = best.value * 2.0**shift
+    best = multi_start(a, params, restarts).best
+    trail["numeric_best"] = best.value
     trail["numeric_converged"] = best.converged
-    if best.value < -1e-6 * scale:
+    if best.value < 0:
         v = not_psd_verdict(a, best.point, NUMERIC, trail)
         if v is not None:
             return v

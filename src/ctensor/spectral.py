@@ -45,12 +45,37 @@ class ExtremeEigenvalue:
     basis: str  # which sign structure of the associated tensor applied
 
 
+# 2^123 below the float range: room for the FFT's growth, a small multiple
+# of n^2 at most, at any n
+_NEAR_RANGE = 2.0**900
+
+
+def _root_sums(a: CirculantTensor, compute, what: str) -> np.ndarray:
+    """``compute()``, sums of root entries, or OverflowError when one of
+    them overflows.
+
+    Each sum is at most sum|root| <= size * max|root| times a factor
+    polynomial in n, so while size * max|root| stays below _NEAR_RANGE none
+    can.  Above it the sums run with numpy's overflow reports off; the
+    entries are finite, so only an overflow makes the result non-finite,
+    and one check decides it.
+    """
+    if a.root.array.size * a.max_abs < _NEAR_RANGE:
+        return compute()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise OverflowError(f"{what} overflows the float range")
+    return out
+
+
 def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     """Coefficients of the associated polynomial, exponents reduced mod n.
 
     The exponent of a root entry at (1-based) indices (j1..j_{m-1}) is
     j1+...+j_{m-1}-m+1 = sum of the 0-based indices; reduction mod n is valid
     because the polynomial is only ever evaluated at n-th roots of unity.
+    Raises OverflowError when a coefficient's sum overflows.
     """
     root, n = a.root.array, a.dim
     # bins[i, r]: the root entries with leading index i whose other indices
@@ -58,39 +83,25 @@ def associated_coeffs(a: CirculantTensor) -> np.ndarray:
     # order; numpy >= 1.25 runs it at array speed); exponent s collects
     # bins[i, s - i] for i = 0, 1, ..., n-1 in turn, starting from +0.0
     keys, skew = plans.exponent_bins(a.order, n)
-    bins = np.zeros(n * n)
-    np.add.at(bins, keys, root.reshape(-1))
-    return np.add.reduce(bins[skew], axis=0, initial=0.0)
 
+    def fold():
+        bins = np.zeros(n * n)
+        np.add.at(bins, keys, root.reshape(-1))
+        return np.add.reduce(bins[skew], axis=0, initial=0.0)
 
-# 2^123 below the float range: room for the FFT's growth, a small multiple
-# of n^2 at most, at any n
-_NEAR_RANGE = 2.0**900
+    return _root_sums(a, fold, "an associated coefficient sum")
 
 
 def native_eigenvalues(a: CirculantTensor) -> NativeSpectrum:
     """All n native eigenvalues lambda_k = sum_s coeffs[s] * w_k^s.
 
     Raises OverflowError when a sum forming a coefficient or an eigenvalue
-    overflows.  Each such sum, the FFT's partial ones included, is at most
-    sum|root| <= size * max|root| times a factor polynomial in n, so while
-    size * max|root| stays below _NEAR_RANGE none can.  Above it the sums
-    run with numpy's overflow reports off; the entries are finite, so only
-    an overflow makes the result non-finite, and one check decides it.
+    overflows (``_root_sums``).
     """
-    if a.root.array.size * a.max_abs < _NEAR_RANGE:
-        return _native_spectrum(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec = _native_spectrum(a)
-    if not np.isfinite(spec.lambdas).all():
-        raise OverflowError("a native eigenvalue sum overflows the float range")
-    return spec
-
-
-def _native_spectrum(a: CirculantTensor) -> NativeSpectrum:
     coeffs = associated_coeffs(a)
     # ifft uses the +2*pi*i*k*s/n kernel, so n * ifft is exactly this sum
-    return NativeSpectrum(lambdas=np.fft.ifft(coeffs) * a.dim, coeffs=coeffs)
+    lambdas = _root_sums(a, lambda: np.fft.ifft(coeffs) * a.dim, "a native eigenvalue sum")
+    return NativeSpectrum(lambdas=lambdas, coeffs=coeffs)
 
 
 def native_eigenvector(n: int, k: int) -> np.ndarray:

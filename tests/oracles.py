@@ -67,6 +67,48 @@ def exact_special_cases(a):
     return None
 
 
+def diag_root_psd(spec):
+    """Exact semi-definiteness decision for a diagonal root c, in the order
+    of the paper's theorem: the necessary signs of c_0, lambda_0 and
+    lambda_{n/2}, the dominance condition c_0 >= sum |c_j|, and the
+    block-alternating regimes (k >= 2) where dominance is also necessary.
+    All sums are exactly rounded.  The reference ``ctensor.psd.check_psd``
+    is checked against on diagonal roots; None where the theorem does not
+    decide."""
+    import math
+
+    from ctensor.diag_root import expand
+    from ctensor.exactsum import _fsum
+    from ctensor.structure import _parity_signed, hat_one_k, is_k_alternative
+    from ctensor.verdict import not_psd_verdict, psd_verdict
+
+    if spec.order % 2:
+        raise ValueError("semi-definiteness needs even order")
+    n, c = spec.dim, spec.c
+    a = expand(spec)
+    trail = {"c0": float(c[0]), "lambda0": _fsum(c)}
+
+    def refute(route, witness):
+        return not_psd_verdict(a, witness, "diag_root", {"route": route, **trail})
+
+    if c[0] < 0:
+        return refute("necessary-c0", np.eye(1, n)[0])
+    if trail["lambda0"] < 0:
+        return refute("necessary-lambda0", np.ones(n))
+    if n % 2 == 0:
+        trail["lambda_n_half"] = _fsum(_parity_signed(c))
+        if trail["lambda_n_half"] < 0:
+            return refute("necessary-alternating", hat_one_k(n, 1))
+    trail["dominance_margin"] = _fsum(np.append(c[0], -np.abs(c[1:])))
+    if trail["dominance_margin"] >= 0:
+        return psd_verdict("diag_root", route="dominance", **trail)
+    for k in range(2, n // 2 + 1):
+        if n % (2 * k) == 0 and is_k_alternative(c[1:], k):
+            # form value at the block witness is n * margin < 0
+            return refute(f"block-alternating-k{k}", hat_one_k(n, k) / math.sqrt(n))
+    return None
+
+
 def roll_is_circulant(arr: np.ndarray, tol: float) -> bool:
     """Dense circulant test against the array rolled by one on every axis."""
     shifted = np.roll(arr, (1,) * arr.ndim, axis=tuple(range(arr.ndim)))

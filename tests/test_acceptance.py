@@ -97,7 +97,7 @@ def test_criterion_4_psd_showcases():
     ex3 = expand(presets.by_name("example3"))
     assert sufficient_diag_dominance(ex3) is not None
     v3 = check_psd(ex3, mode="certificates_only")
-    assert v3.is_psd and v3.details.get("route") == "dominance"
+    assert v3.is_psd and v3.certificate == "diag_dominance"
 
     case1 = presets.by_name("example4_case1")
     v1 = check_psd(case1, mode="certificates_only")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestDispatch:
         assert rc == 0
         doc = json.loads(out)
         assert doc["decision"] == "psd"
-        assert doc["certificate"] == "diag_root"
+        assert doc["certificate"] == "diag_dominance"
 
     def test_psd_numeric_flag(self, tmp_path, capsys):
         p = tmp_path / "t.json"
@@ -236,6 +237,20 @@ class TestDispatch:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err == "ctensor: the exact sum lies beyond the float range\n"
+
+    def test_eig_finite_spectrum_near_float_range(self, tmp_path, capsys):
+        # sum|root| = 2e308 lies beyond the float range, but the spectrum
+        # (0 and 1.5e308 -+ 8.66e307i) and the disc do not
+        p = tmp_path / "near.json"
+        p.write_text(json.dumps({"kind": "circulant", "order": 3, "dim": 3,
+                                 "root": [1e308, -1e308] + [0.0] * 7}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run_cli(["eig", str(p)], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert [lam["re"] for lam in doc["lambdas"]] == [0.0, 1.5e308, 1.5e308]
+        assert doc["gershgorin"] == {"center": 1e308, "radius": 1e308}
 
     @pytest.mark.parametrize(
         "kind, doc",

@@ -11,7 +11,6 @@ from ctensor.diag_root import (
     DiagRootSpec,
     diag_root_eigenpairs,
     diag_root_form,
-    diag_root_psd,
     diag_root_vector,
     doubly_psd,
     doubly_reduce,
@@ -26,7 +25,7 @@ from ctensor.spectral import (
 )
 from ctensor.structure import is_doubly_circulant
 
-from oracles import exact_dense_form, naive_form, random_circulant
+from oracles import diag_root_psd, exact_dense_form, naive_form, random_circulant
 
 
 def random_spec(rng, m, n, scale=10.0):
@@ -202,37 +201,45 @@ class TestDiagRootForm:
 
 
 class TestDiagRootPsd:
+    """``check_psd`` on diagonal roots, against the paper's decision
+    (``oracles.diag_root_psd``): the necessary checks and dominance decide
+    it, bar the block-alternating refutation."""
+
     def test_boundary_dominance(self):
-        v = diag_root_psd(presets.by_name("example3"))
-        assert v.decision == "psd"
-        assert v.details["route"] == "dominance"
+        spec = presets.by_name("example3")
+        v = check_psd(expand(spec))
+        assert (v.decision, v.certificate) == ("psd", "diag_dominance")
+        assert diag_root_psd(spec).details["route"] == "dominance"
 
     def test_nonpositive_tail_refuted(self):
-        v = diag_root_psd(DiagRootSpec(4, np.array([1.0, -2.0])))
+        v = check_psd(expand(DiagRootSpec(4, np.array([1.0, -2.0]))))
         assert v.decision == "not_psd"
         assert np.allclose(v.witness, 1.0)
         assert v.details["witness_value"] < 0
 
     def test_nonpositive_tail_accepted_at_zero_margin(self):
-        v = diag_root_psd(DiagRootSpec(4, np.array([3.0, -1.0, -1.0, -1.0])))
+        v = check_psd(expand(DiagRootSpec(4, np.array([3.0, -1.0, -1.0, -1.0]))))
         assert v.decision == "psd"
 
     def test_strictly_negative_lambda0(self):
-        v = diag_root_psd(DiagRootSpec(4, np.array([2.0, -2.0, -2.0, -2.0])))
+        a = expand(DiagRootSpec(4, np.array([2.0, -2.0, -2.0, -2.0])))
+        v = check_psd(a)
         assert v.decision == "not_psd"
-        assert apply_full(expand(DiagRootSpec(4, np.array([2.0, -2.0, -2.0, -2.0]))), v.witness) < 0
+        assert apply_full(a, v.witness) < 0
 
     def test_one_alternative_tail_refuted_by_alternating_check(self):
         # 1-alternative tail with failed dominance: lambda_{n/2} =
         # 1 - 2 - 2 - 1 = -4 < 0, so the necessary check on the alternating
         # eigenvector refutes before any block route is tried
-        c = np.array([1.0, 2.0, -2.0, 1.0])
-        v = diag_root_psd(DiagRootSpec(4, c))
+        spec = DiagRootSpec(4, np.array([1.0, 2.0, -2.0, 1.0]))
+        v = check_psd(expand(spec))
         assert v.decision == "not_psd"
-        assert v.details["route"] == "necessary-alternating"
-        assert v.details["lambda_n_half"] == -4.0
-        a = expand(DiagRootSpec(4, c))
-        assert apply_full(a, v.witness) < 0
+        assert v.details["failed"] == "alternative_native"
+        assert ("alternative_native", -4.0, False) in v.details["necessary"]
+        assert apply_full(expand(spec), v.witness) < 0
+        ref = diag_root_psd(spec)
+        assert ref.details["route"] == "necessary-alternating"
+        assert np.array_equal(ref.witness, v.witness)
 
     @pytest.mark.parametrize(
         "c, k", [((1.0, 0.0, 2.0, 0.0), 2), ((1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0), 4)]
@@ -240,15 +247,15 @@ class TestDiagRootPsd:
     def test_block_alternating_routes(self, c, k):
         # a k-alternative tail (k >= 2) with c_0 >= 0, both real native
         # eigenvalues positive and a negative dominance margin: only the
-        # stride-k block route decides it, here and inside check_psd
+        # stride-k block route decides it
         spec = DiagRootSpec(4, np.array(c))
-        route = f"block-alternating-k{k}"
         a = expand(spec)
-        for v in (diag_root_psd(spec), check_psd(a, mode="certificates_only")):
-            assert (v.decision, v.certificate) == ("not_psd", "diag_root")
-            assert v.details["route"] == route
-            assert v.details["dominance_margin"] < 0
-            assert exact_dense_form(a, v.witness) < 0
+        v, ref = check_psd(a, mode="certificates_only"), diag_root_psd(spec)
+        assert (v.decision, v.certificate) == ("not_psd", "diag_root")
+        assert v.details["route"] == ref.details["route"] == f"block-alternating-k{k}"
+        assert ref.details["dominance_margin"] < 0
+        assert np.array_equal(v.witness, ref.witness)
+        assert exact_dense_form(a, v.witness) < 0
 
     def test_sign_structured_tails_refuted_by_necessary_checks(self):
         # with c_j <= 0 (j >= 1) lambda_0, and with a 1-alternative tail
@@ -266,42 +273,90 @@ class TestDiagRootPsd:
             c0 = edge if trial % 3 == 0 else edge * rng.uniform(0, 0.99)
             spec = DiagRootSpec(4, np.concatenate([[c0], signs * mags]))
             assert Fraction(c0) < sum(map(Fraction, mags))
-            v = diag_root_psd(spec)
-            assert v.decision == "not_psd" and v.details["route"].startswith("necessary-")
+            v = check_psd(expand(spec), mode="certificates_only")
+            assert v.decision == "not_psd"
+            assert diag_root_psd(spec).details["route"].startswith("necessary-")
             assert exact_dense_form(expand(spec), v.witness) < 0
-            seen.add(v.details["route"])
-        assert seen == {"necessary-lambda0", "necessary-alternating"}
+            seen.add(v.details["failed"])
+        assert seen == {"first_native", "alternative_native"}
 
     def test_inconclusive_routes_to_general_chain(self):
-        c = np.array([1.0, 2.0, -2.0, 0.0])
-        v = diag_root_psd(DiagRootSpec(4, c))
+        spec = DiagRootSpec(4, np.array([1.0, 2.0, -2.0, 0.0]))
+        v = check_psd(expand(spec), mode="certificates_only")
         assert v.decision in ("inconclusive", "not_psd")
         if v.decision == "inconclusive":
-            assert v.details["route"] == "undecided"
+            assert v.details["diag_root"] == "undecided"
+            assert diag_root_psd(spec) is None
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
-            diag_root_psd(DiagRootSpec(3, np.array([1.0, 1.0])))
+            check_psd(expand(DiagRootSpec(3, np.array([1.0, 1.0]))))
 
     def test_exactness_on_hairline_margin(self):
         # decisions track the exact sum of the given floats: 0.1+0.2 rounds
         # up, so against a non-positive tail (-0.1, -0.2) it is (just barely)
         # dominant, while the float 0.3 falls short by one rounding gap
-        v = diag_root_psd(DiagRootSpec(4, np.array([0.1 + 0.2, -0.1, -0.2])))
+        v = check_psd(expand(DiagRootSpec(4, np.array([0.1 + 0.2, -0.1, -0.2]))))
         assert v.decision == "psd"
-        v2 = diag_root_psd(DiagRootSpec(4, np.array([0.3, -0.1, -0.2])))
+        v2 = check_psd(expand(DiagRootSpec(4, np.array([0.3, -0.1, -0.2]))))
         assert v2.decision == "not_psd"
         assert v2.details["witness_value_exact"] < 0
-
 
     def test_exact_sign_decides_where_float_rounds(self):
         # lambda0 = -2^-60 exactly, but the float form at the all-ones
         # witness rounds to 0: the rational value carries the refutation
-        spec = DiagRootSpec(4, np.array([1.0, -(2.0**-60), -1.0]))
-        v = diag_root_psd(spec)
+        v = check_psd(expand(DiagRootSpec(4, np.array([1.0, -(2.0**-60), -1.0]))))
         assert v.decision == "not_psd"
         assert v.details["witness_value"] == 0.0
         assert v.details["witness_value_exact"] < 0
+
+    @staticmethod
+    def _specs(rng, m):
+        """Seeded diagonal roots: random tails, and dyadic tails (so the
+        dominance tie is a float) with c_0 at the exact margin and one ulp
+        to each side, and at half of it: mixed-sign, sign-structured and
+        k-alternative tails (k >= 1, n in {4, 6, 8} for those)."""
+        for trial in range(80):
+            kind = trial % 4
+            n = int(rng.integers(2, 5)) * 2 if kind == 3 else int(rng.integers(2, 9))
+            if kind == 0:
+                yield DiagRootSpec(m, rng.uniform(-10, 10, size=n))
+                continue
+            mags = rng.integers(0, 2**10, size=n - 1) * 2.0 ** int(rng.integers(-20, 5))
+            mags *= rng.random(n - 1) < 0.8
+            j = np.arange(1, n)
+            if kind == 1:
+                tail = mags * rng.choice([-1.0, 1.0], size=n - 1)
+            elif kind == 2:
+                tail = -mags if n % 2 or trial % 8 == 2 else mags * (-1.0) ** (j + 1)
+            else:
+                ks = [k for k in range(1, n // 2 + 1) if n % (2 * k) == 0]
+                k = ks[int(rng.integers(len(ks)))]
+                tail = mags * np.where(j % k, 0.0, np.where((j // k) % 2, 1.0, -1.0))
+            edge = math.fsum(np.abs(tail).tolist())
+            for c0 in (edge / 2, np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf)):
+                yield DiagRootSpec(m, np.concatenate([[c0], tail]))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_same_decision_as_the_theorem(self, m):
+        # wherever the theorem decides, the chain reaches its decision, and
+        # a block-alternating refutation has the same witness
+        rng = np.random.default_rng([m, 15])
+        decided = block = 0
+        for spec in self._specs(rng, m):
+            a = expand(spec)
+            ref, v = diag_root_psd(spec), check_psd(a, mode="certificates_only")
+            if v.decision == "not_psd" and a.dim**m <= 4096:
+                assert exact_dense_form(a, v.witness) < 0
+            if ref is None:
+                continue
+            decided += 1
+            assert v.decision == ref.decision
+            if ref.details["route"].startswith("block-alternating"):
+                block += 1
+                assert (v.certificate, v.details["route"]) == ("diag_root", ref.details["route"])
+                assert np.array_equal(v.witness, ref.witness)
+        assert decided >= 200 and block >= 5
 
 
 class TestDoubly:

@@ -239,7 +239,7 @@ class TestExactSpecialCases:
         v = exact_special_cases(a)
         assert (v.decision, v.certificate) == ("psd", "negatively_alternative")
         assert v.details["lambda_n_half"] == 0.0
-        assert check_psd(a, mode="certificates_only").certificate == "diag_root"
+        assert check_psd(a, mode="certificates_only").certificate == "diag_dominance"
 
 
 class TestSignStructuredSubsumed:
@@ -273,8 +273,7 @@ class TestSignStructuredSubsumed:
                 assert special.decision == v.decision == ("psd" if psd else "not_psd")
                 if psd:
                     assert sufficient_diag_dominance(a) is not None
-                    # an order-1 root is diagonal: that exact route goes first
-                    assert v.certificate == ("diag_root" if m == 2 else "diag_dominance")
+                    assert v.certificate == "diag_dominance"
 
 
 def _signed_ones(sign_pattern: bool) -> np.ndarray:
@@ -424,7 +423,7 @@ class TestCheckPsdChain:
     def test_boundary_diag_via_dominance(self):
         v = check_psd(expand(presets.by_name("example3")), mode="certificates_only")
         assert v.decision == "psd"
-        assert v.certificate == "diag_root"  # the diag-root route fires first
+        assert v.certificate == "diag_dominance"
 
     def test_benchmark_c43_refuted_immediately(self):
         v = check_psd(expand(presets.by_name("example5")), mode="certificates_only")
@@ -463,6 +462,23 @@ class TestCheckPsdChain:
             assert v.decision == "inconclusive"
             assert v.certificate == "numeric_evidence"
             assert v.details["numeric_best"] >= -1e-6
+
+    def test_numeric_refutes_hairline_minimum(self):
+        # an indefinite draw lifted by t |x|^4 until its sphere minimum is
+        # about -1e-9 sum|root|: any negative multi-start value whose sign
+        # verifies refutes, however small against the root
+        root = np.random.default_rng(42).uniform(-10.0, 10.0, size=(3, 3, 3))
+        norm4 = np.zeros((3, 3, 3))  # the root of the form |x|^4
+        norm4[0, 0, 0] = 1.0
+        norm4[[0, 1, 1, 0, 2, 2], [1, 0, 1, 2, 0, 2], [1, 1, 0, 2, 2, 0]] = 1 / 3
+        t = -brute_force_min(circulant_from_root(root)).value
+        t -= 1e-9 * np.abs(root + t * norm4).sum()
+        a = circulant_from_root(root + t * norm4)
+        assert check_psd(a, mode="certificates_only").decision == "inconclusive"
+        v = check_psd(a)
+        assert (v.decision, v.certificate) == ("not_psd", "numeric_evidence")
+        assert -1e-6 * np.abs(a.root.array).sum() < v.details["witness_value"] < 0
+        assert exact_dense_form(a, v.witness) < 0
 
     def test_numeric_stage_near_float_range(self):
         # finite entries whose symmetrization and gradients would overflow:

@@ -143,6 +143,13 @@ class TestNativeEigenvalues:
             with pytest.raises(OverflowError):
                 native_eigenvalues(a)
 
+    def test_coefficient_sum_beyond_float_range_raises(self):
+        a = circulant_from_root(np.array([[0.0, 1.5e308], [1.5e308, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                associated_coeffs(a)
+
     def test_near_float_range_finite(self):
         # the two large entries share a coefficient and cancel
         a = circulant_from_root(np.array([[1e308, 1e308], [-1e308, 0.0]]))
