@@ -10,8 +10,6 @@ from .admm import (
     AdmmParams,
     AdmmResult,
     MultiStartReport,
-    block_gradient,
-    consensus_residual,
     minimize,
     multi_start,
     subproblem,
@@ -24,9 +22,7 @@ from .core import (
     apply_partial,
     as_circulant,
     circulant_from_root,
-    diagonal_part,
     entry,
-    identity_tensor,
     is_circulant,
     is_toeplitz,
     materialize,
@@ -36,13 +32,9 @@ from .core import (
     symmetrize,
 )
 from .diag_root import (
-    CirculantMatrix,
     DiagRootSpec,
     diag_root_vector,
-    diag_root_eigenpairs,
-    diag_root_form,
     doubly_psd,
-    doubly_reduce,
     expand,
 )
 from .hypergraph import (
@@ -82,7 +74,6 @@ from .structure import (
     hat_one_k,
     is_doubly_circulant,
     is_k_alternative,
-    row_sign_decomposition,
 )
 from .verdict import PsdVerdict
 

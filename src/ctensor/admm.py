@@ -67,28 +67,6 @@ class MultiStartReport:
     success_rate: float | None = None
 
 
-def consensus_residual(blocks: np.ndarray) -> np.ndarray:
-    """Stacked cyclic differences (x^1-x^2, ..., x^m-x^1) of the (m, n) block
-    array, zero iff consensus."""
-    blocks = np.asarray(blocks)
-    return (blocks - np.roll(blocks, -1, axis=0)).reshape(-1)
-
-
-def block_gradient(a: Tensor | np.ndarray, blocks: np.ndarray, j: int) -> np.ndarray:
-    """Gradient of f(x^1,...,x^m) = A x^1...x^m in block j (1-based) at the
-    (m, n) block array.
-
-    f is linear in each block, so the gradient is the contraction of A with
-    every block except the j-th.
-    """
-    arr = a if isinstance(a, np.ndarray) else materialize(a).array
-    blocks = np.asarray(blocks)
-    if not 1 <= j <= arr.ndim:
-        raise ValueError(f"block index {j} out of range [1, {arr.ndim}]")
-    others = [blocks[None, k] for k in range(arr.ndim) if k != j - 1]
-    return _contract(np.moveaxis(arr, j - 1, -1), others)[0]
-
-
 def _norms(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Euclidean norms over ``axis``, kept as a length-1 axis."""
     return np.sqrt((v * v).sum(axis=axis, keepdims=True))

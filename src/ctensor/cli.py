@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -165,7 +166,10 @@ def cmd_hypergraph(args) -> dict:
 
 
 def cmd_moments(args) -> dict:
-    raw = np.loadtxt(args.samples, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file fails below, with the one-line message
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        raw = np.loadtxt(args.samples, delimiter=",", ndmin=2)
     sample = fold_trajectories(raw, args.period)
     return tensor_to_dict(moment_tensor(sample, args.order))
 

@@ -191,12 +191,13 @@ def is_circulant(t: Tensor, tol: float = 0.0) -> bool:
     if arr.ndim < 2:
         raise ValueError("circulant test needs order >= 2")
     back = np.arange(-1, arr.shape[0] - 1)
-    for here, prev in ((arr[:1], arr[-1:]), (arr[1:], arr[:-1])):
-        for axis in range(1, arr.ndim):
-            prev = prev.take(back, axis=axis, mode="wrap")
-        gap = np.subtract(here, prev, out=prev)
-        if not np.max(np.abs(gap, out=gap)) <= tol:
-            return False
+    with np.errstate(over="ignore"):  # an infinite gap exceeds every tol
+        for here, prev in ((arr[:1], arr[-1:]), (arr[1:], arr[:-1])):
+            for axis in range(1, arr.ndim):
+                prev = prev.take(back, axis=axis, mode="wrap")
+            gap = np.subtract(here, prev, out=prev)
+            if not np.max(np.abs(gap, out=gap)) <= tol:
+                return False
     return True
 
 
@@ -273,12 +274,17 @@ def apply_full(a: Tensor, x) -> float | complex:
     """Homogeneous form A x^m = sum a_{j1..jm} x_{j1}...x_{jm}.
 
     Circulant input is evaluated from the root without materializing:
-    A x^m = sum_k x_k * rootform(x rotated by k-1).
+    A x^m = sum_k x_k * rootform(x rotated by k-1).  Raises OverflowError
+    when a sum or product forming the value overflows: the entries are
+    finite, so for finite x only an overflow makes the value non-finite.
     """
     x = np.asarray(x)
     if x.shape != (a.dim,):
         raise ValueError(f"expected vector of length {a.dim}")
-    val = _form(a, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _form(a, x)
+    if not np.isfinite(val) and np.isfinite(x).all():
+        raise OverflowError("the form value overflows the float range")
     return complex(val) if np.iscomplexobj(x) else float(val)
 
 
@@ -399,23 +405,9 @@ def _diagonal_array(values, m: int) -> np.ndarray:
     return out
 
 
-def diagonal_part(a: Tensor) -> DenseTensor:
-    """Diagonal tensor carrying A's diagonal entries."""
-    if isinstance(a, CirculantTensor):
-        diag = np.full(a.dim, a.diagonal_entry)
-    else:
-        diag = _diagonal(a.array)
-    return DenseTensor(_diagonal_array(diag, a.order))
-
-
 def perm_matrix(n: int) -> np.ndarray:
     """Cyclic shift matrix P: ones on the superdiagonal and at (n, 1)."""
     return np.roll(np.eye(n), 1, axis=1)
-
-
-def identity_tensor(m: int, n: int) -> DenseTensor:
-    """Ones on the diagonal, zeros elsewhere."""
-    return DenseTensor(_diagonal_array(np.ones(n), m))
 
 
 def associated_array(a: CirculantTensor) -> np.ndarray:

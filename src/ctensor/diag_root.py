@@ -2,12 +2,13 @@
 
 A diagonal root places c_0, ..., c_{n-1} on the root's diagonal and zeros
 elsewhere.  Such tensors have a fully explicit eigenstructure (that of an
-n x n circulant matrix built from c).  Their semi-definiteness needs no
-decision of its own: the necessary checks and diagonal dominance in
-``psd.check_psd`` decide it exactly wherever the paper's theorem does,
-except in the block-alternating regimes (a k-alternative tail, k >= 2),
-where dominance is also necessary and the chain's diagonal-root stage
-refutes with the block sign vector.
+n x n circulant matrix built from c), which ``tests/oracles.py`` states as
+the reference the tests check spectra and forms against.  Their
+semi-definiteness needs no decision of its own: the necessary checks and
+diagonal dominance in ``psd.check_psd`` decide it exactly wherever the
+paper's theorem does, except in the block-alternating regimes (a
+k-alternative tail, k >= 2), where dominance is also necessary and the
+chain's diagonal-root stage refutes with the block sign vector.
 
 A doubly circulant tensor has a circulant root, so all of its row tensors
 coincide and its form factors through sum(x).  Its exact route works on the
@@ -36,7 +37,6 @@ from .core import (
     is_circulant,
 )
 from .exactsum import _scaled_ints
-from .spectral import eigen_residual
 from .structure import is_doubly_circulant
 from .verdict import (
     DOUBLY_CIRCULANT,
@@ -81,77 +81,6 @@ def diag_root_vector(a: CirculantTensor) -> np.ndarray | None:
     arr = a.root.array
     diag = _diagonal(arr).copy()
     return diag if np.count_nonzero(arr) == np.count_nonzero(diag) else None
-
-
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """n x n matrix with first column c (constant wrapped diagonals)."""
-
-    c: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        ar = np.arange(len(self.c))
-        return self.c[(ar[:, None] - ar) % len(self.c)]
-
-    def eigenvalues(self) -> np.ndarray:
-        """mu_k = sum_j c_j w_k^j for w_k = exp(2*pi*i*k/n)."""
-        n = len(self.c)
-        return np.fft.ifft(self.c) * n
-
-
-def diag_root_eigenpairs(spec: DiagRootSpec, residual_tol: float = 1e-8):
-    """All eigenpairs (mu_k, y_kl): y_j = eta^{j-1} with eta^{m-1} = w_k.
-
-    For each k there are m-1 eigenvectors, one per (m-1)-th root
-    eta = exp(2*pi*i*(k + l*n) / (n*(m-1))), l = 0..m-2.  Every pair is
-    gated by the eigen-residual check before being returned.
-    """
-    m, n = spec.order, spec.dim
-    if m < 3:
-        raise ValueError("eigenpair enumeration needs order >= 3")
-    a = expand(spec)
-    mus = CirculantMatrix(spec.c).eigenvalues()
-    pairs = []
-    for k in range(n):
-        for l in range(m - 1):
-            eta = np.exp(2j * np.pi * (k + l * n) / (n * (m - 1)))
-            y = eta ** np.arange(n)
-            lam = mus[k]
-            res = eigen_residual(a, lam, y)
-            if res > residual_tol:
-                raise AssertionError(
-                    f"eigenpair (k={k}, l={l}) failed residual check: {res}"
-                )
-            pairs.append((complex(lam), y))
-    return pairs
-
-
-def diag_root_form(spec: DiagRootSpec, x) -> float:
-    """A x^m = sum_{j,l} c_{(l-j) mod n} x_j x_l^{m-1} (quadratic-like shape)."""
-    x = np.asarray(x, dtype=float)
-    n = spec.dim
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n}")
-    ct = CirculantMatrix(spec.c).matrix.T
-    return float(x @ (ct @ x ** (spec.order - 1)))
-
-
-def doubly_reduce(a: CirculantTensor, x) -> float:
-    """Evaluate A x^m through the factored identity of doubly circulant tensors.
-
-    A x^m = sum(x) * (A_1 x^{m-1}); when the root is itself doubly circulant
-    this deepens to sum(x)^2 * (A_11 x^{m-2}).
-    """
-    if not is_doubly_circulant(a):
-        raise ValueError("tensor is not doubly circulant")
-    x = np.asarray(x, dtype=float)
-    root = a.root
-    s = math.fsum(x)
-    if root.order >= 3 and is_circulant(DenseTensor(root.array[0])):
-        inner = DenseTensor(root.array[0])
-        return s * s * float(apply_full(inner, x))
-    return s * float(apply_full(root, x))
 
 
 def _root_form(root: np.ndarray) -> dict:

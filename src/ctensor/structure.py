@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CirculantTensor, DenseTensor, Tensor, is_circulant, materialize
+from .core import CirculantTensor, DenseTensor, Tensor, is_circulant
 from .exactsum import _fsum
 
 
@@ -86,44 +86,6 @@ def classify_sign(t: Tensor) -> SignClass:
     if t.dim % 2 or t.order % 2:
         return SignClass.NONE
     return _alternative_class(root)
-
-
-def is_alternative(arr: np.ndarray) -> bool:
-    return bool((_parity_signed(arr) >= 0).all())
-
-
-def is_negatively_alternative(arr: np.ndarray) -> bool:
-    return bool((_parity_signed(arr) <= 0).all())
-
-
-def row_sign_decomposition(a: CirculantTensor) -> bool:
-    """Verify the row-parity structure of alternative circulant tensors.
-
-    Checks, on the materialized tensor, that full-tensor alternativeness is
-    equivalent to odd rows being alternative and even rows negatively
-    alternative (and the mirrored statement); when both m and n are even it
-    additionally checks the root-level equivalence.  That equivalence fails
-    for odd m (a pinned counterexample exists), so it is only asserted when
-    applicable.
-    """
-    full = materialize(a).array
-    rows = [full[k] for k in range(a.dim)]
-
-    def rows_alternate(pos_first: bool) -> bool:
-        ok = True
-        for k, row in enumerate(rows):  # k = 0 is row 1 (odd)
-            odd = k % 2 == 0
-            want_alt = odd if pos_first else not odd
-            ok &= is_alternative(row) if want_alt else is_negatively_alternative(row)
-        return ok
-
-    ok = is_alternative(full) == rows_alternate(True)
-    ok &= is_negatively_alternative(full) == rows_alternate(False)
-    if a.order % 2 == 0 and a.dim % 2 == 0:
-        root = a.root.array
-        ok &= is_alternative(full) == is_alternative(root)
-        ok &= is_negatively_alternative(full) == is_negatively_alternative(root)
-    return ok
 
 
 @dataclass(frozen=True)

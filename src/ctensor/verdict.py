@@ -109,7 +109,8 @@ def _coarse_band(a, w: np.ndarray) -> float:
     """
     gamma, underflow, top = _band_terms(a, w)
     stored = _stored(a)
-    total = _up(float(np.abs(stored).sum()) * _up(1 + stored.size * 2.0**-52))
+    with np.errstate(over="ignore"):  # an infinite sum is still an upper bound
+        total = _up(float(np.abs(stored).sum()) * _up(1 + stored.size * 2.0**-52))
     if isinstance(a, CirculantTensor):
         total = _up(a.dim * total)
     power, scale = 1.0, _up(float(a.dim**a.order))  # max|w|^m, n^m max(1, max|w|)^m
@@ -120,13 +121,32 @@ def _coarse_band(a, w: np.ndarray) -> float:
     return 2 * (gamma * bound + underflow)
 
 
+# n^m max|a| max|w|^m bounds every partial sum of A w^m and of its band's
+# contraction: below 2^_RANGE_EXP none comes near the float range
+_RANGE_EXP = 1000
+
+
+def _in_range(a, w: np.ndarray) -> np.ndarray:
+    """``w`` times the power of two that brings n^m max|a| max|w|^m below
+    2^_RANGE_EXP, or ``w`` itself where it is below already.  The form is
+    homogeneous of degree m, so the scaling keeps the sign of its value."""
+    top = float(np.max(np.abs(w)))
+    reach = (a.dim**a.order).bit_length() + math.frexp(a.max_abs)[1] + a.order * math.frexp(top)[1]
+    if reach <= _RANGE_EXP:
+        return w
+    return np.ldexp(w, (_RANGE_EXP - reach) // a.order)
+
+
 def not_psd_verdict(a, witness, certificate: str | None, details: dict) -> PsdVerdict | None:
     """The refutation of ``a`` by ``witness`` if its form value is negative,
     else None.  The float value decides outside ``_rounding_band``; inside
     it the exact value (``core._exact_form``) decides and is recorded as
     ``witness_value_exact``.  The band's contraction runs only when the
-    value lies within ``_coarse_band``, which bounds the band from above."""
-    witness = np.asarray(witness, dtype=float)
+    value lies within ``_coarse_band``, which bounds the band from above.
+    A witness whose value could come near the float range is first scaled
+    by a power of two (``_in_range``), so that no value or band overflows;
+    the scaled witness is the one verified and returned."""
+    witness = _in_range(a, np.asarray(witness, dtype=float))
     value = deciding = float(apply_full(a, witness))
     details = dict(details)
     if abs(value) <= _coarse_band(a, witness) and abs(value) <= _rounding_band(a, witness):

@@ -49,7 +49,7 @@ def exact_special_cases(a):
     reference for the subsumption argued in the ``ctensor.psd`` docstring."""
     from ctensor.core import associated_array
     from ctensor.spectral import alternative_native, first_native
-    from ctensor.structure import hat_one_k, is_negatively_alternative
+    from ctensor.structure import _parity_signed, hat_one_k
     from ctensor.verdict import not_psd_verdict, psd_verdict
 
     assoc = associated_array(a)
@@ -58,13 +58,40 @@ def exact_special_cases(a):
         if lam0 >= 0:
             return psd_verdict("nonpos_associated", lambda0=lam0)
         return not_psd_verdict(a, np.ones(a.dim), "nonpos_associated", {"lambda0": lam0})
-    if a.dim % 2 == 0 and is_negatively_alternative(assoc):
+    if a.dim % 2 == 0 and (_parity_signed(assoc) <= 0).all():
         lam_half = alternative_native(a)
         if lam_half >= 0:
             return psd_verdict("negatively_alternative", lambda_n_half=lam_half)
         return not_psd_verdict(a, hat_one_k(a.dim, 1), "negatively_alternative",
                                {"lambda_n_half": lam_half})
     return None
+
+
+def circulant_matrix(c) -> np.ndarray:
+    """The n x n matrix with first column c: entry (j, l) is c[(j - l) mod n]."""
+    ar = np.arange(len(c))
+    return np.asarray(c)[(ar[:, None] - ar) % len(c)]
+
+
+def circulant_eigenvalues(c) -> np.ndarray:
+    """mu_k = sum_j c_j w_k^j for w_k = exp(2 pi i k / n), that is n * ifft(c)."""
+    return np.fft.ifft(c) * len(c)
+
+
+def diag_root_eigenpairs(spec) -> list:
+    """The paper's eigenpairs of a diagonal root c: (mu_k, y) with y_j =
+    eta^j, one per (m-1)-th root eta = exp(2 pi i (k + l n) / (n (m-1))) of
+    w_k, l = 0..m-2."""
+    m, n = spec.order, spec.dim
+    mus = circulant_eigenvalues(spec.c)
+    return [(complex(mus[k]), np.exp(2j * np.pi * (k + l * n) / (n * (m - 1))) ** np.arange(n))
+            for k in range(n) for l in range(m - 1)]
+
+
+def diag_root_form(spec, x) -> float:
+    """A x^m = sum_{j,l} c_{(l-j) mod n} x_j x_l^{m-1}, that is x . (C^T x^{m-1})."""
+    x = np.asarray(x, dtype=float)
+    return float(x @ (circulant_matrix(spec.c).T @ x ** (spec.order - 1)))
 
 
 def diag_root_psd(spec):
@@ -177,6 +204,15 @@ def naive_multi_form(arr: np.ndarray, blocks: np.ndarray) -> float:
             prod = prod * blocks[slot][i]
         total += prod
     return total
+
+
+def block_gradient(arr: np.ndarray, blocks: np.ndarray, slot: int) -> np.ndarray:
+    """Gradient of the multilinear form in block ``slot`` (0-based): ``arr``
+    contracted with every other block."""
+    from ctensor.core import _contract
+
+    others = [blocks[None, k] for k in range(arr.ndim) if k != slot]
+    return _contract(np.moveaxis(arr, slot, -1), others)[0]
 
 
 def fd_block_gradient(arr: np.ndarray, blocks: np.ndarray, slot: int, h=1e-6):

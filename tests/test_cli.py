@@ -361,6 +361,23 @@ class TestModuleEntry:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == "ctensor: the exact sum lies beyond the float range\n"
 
+    def test_psd_refutes_near_float_range(self, tmp_path):
+        # lambda_0 = -1e308: the witness is scaled into range before its
+        # value is taken, so nothing overflows and numpy never warns
+        p = tmp_path / "near.json"
+        p.write_text(json.dumps({"kind": "circulant", "order": 4, "dim": 2,
+                                 "root": [0, -1e308] + [0] * 6}))
+        out = self.run_module("psd", str(p))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["decision"] == "not_psd"
+
+    def test_moments_empty_csv_prints_only_the_message(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        out = self.run_module("moments", str(p), "--order", "2", "--period", "2")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "ctensor: need a (trajectories, period) array\n"
+
     def test_eig_matches_dispatch(self, example1_path, capsys):
         rc, expected = run_cli(["eig", example1_path], capsys)
         out = self.run_module("eig", example1_path)

@@ -13,9 +13,7 @@ from ctensor.core import (
     apply_partial,
     as_circulant,
     circulant_from_root,
-    diagonal_part,
     entry,
-    identity_tensor,
     is_circulant,
     is_toeplitz,
     materialize,
@@ -25,6 +23,7 @@ from ctensor.core import (
     symmetrize,
 )
 from ctensor import presets
+from ctensor.diag_root import DiagRootSpec, expand
 
 from oracles import naive_form, naive_partial, naive_symmetrize, random_circulant, shift_materialize
 
@@ -148,8 +147,8 @@ class TestCirculantPredicate:
         assert is_circulant(materialize(a), 0.0)
 
     def test_identity_tensor(self):
-        assert is_circulant(identity_tensor(3, 4), 0.0)
-        assert is_circulant(identity_tensor(4, 2), 0.0)
+        for m, n in [(3, 4), (4, 2)]:
+            assert is_circulant(materialize(expand(DiagRootSpec(m, np.eye(1, n)[0]))), 0.0)
 
     def test_perturbed_entry_breaks_it(self):
         arr = materialize(presets.by_name("example1")).array.copy()
@@ -200,6 +199,15 @@ class TestForms:
                 assert apply_full(a, x) == pytest.approx(
                     naive_form(dense, x), rel=1e-10, abs=1e-8
                 )
+
+    def test_value_beyond_float_range_raises(self):
+        # (1e308, 1e308, -1e308, 0, ...) at (1, 1): the form value is 2e308
+        root = np.zeros((2, 2, 2))
+        root.flat[:3] = [1e308, 1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                apply_full(circulant_from_root(root), np.ones(2))
 
     def test_partial_matches_naive(self, rng):
         a = random_circulant(rng, 3, 4)
@@ -336,24 +344,11 @@ class TestSymmetrize:
 
 
 class TestDiagonalPart:
-    def test_showcase_diagonal(self):
-        d = diagonal_part(presets.by_name("example1"))
-        assert d.array[0, 0, 0] == pytest.approx(5.91395)
-        assert d.array[1, 1, 1] == pytest.approx(5.91395)
-        off = d.array.copy()
-        for j in range(3):
-            off[j, j, j] = 0.0
-        assert np.all(off == 0)
-
-    def test_zero(self):
-        z = DenseTensor(np.zeros((3, 3)))
-        assert np.all(diagonal_part(z).array == 0)
-
     def test_sym_preserves_diagonal(self, rng):
         arr = rng.normal(size=(3, 3, 3))
-        lhs = diagonal_part(DenseTensor(arr)).array
-        rhs = diagonal_part(symmetrize(DenseTensor(arr))).array
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        diag = (np.arange(3),) * 3
+        rhs = symmetrize(DenseTensor(arr)).array[diag]
+        assert np.allclose(arr[diag], rhs, atol=1e-12)
 
 
 class TestPermMatrix:

@@ -9,9 +9,9 @@ import ctensor.verdict as verdict_mod
 from ctensor import presets
 from ctensor.core import (
     DenseTensor,
+    _exact_form,
     apply_full,
     circulant_from_root,
-    identity_tensor,
     materialize,
 )
 from ctensor.diag_root import DiagRootSpec, expand
@@ -64,7 +64,7 @@ class TestNecessaryChecks:
 
     def test_dense_input_rejected(self):
         with pytest.raises(TypeError):
-            necessary_checks(identity_tensor(4, 2))
+            necessary_checks(materialize(expand(DiagRootSpec(4, np.eye(1, 2)[0]))))
 
 
 class TestRefutationEmitter:
@@ -507,6 +507,27 @@ class TestCheckPsdChain:
             value = apply_full(big, v.witness)
         assert v.decision == "not_psd"
         assert value == v.details["witness_value"] < 0
+
+    def test_entries_near_float_range_decide_or_overflow(self):
+        # roots with entries up to 1.7e308: each draw is decided, with a
+        # witness that verifies exactly, or fails with the documented
+        # OverflowError of a sum beyond the float range; numpy never warns
+        rng = np.random.default_rng(16)
+        decided = 0
+        for trial in range(60):
+            n = 2 + trial % 2
+            a = circulant_from_root(1.7e308 * rng.uniform(-1.0, 1.0, size=(n,) * 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    v = check_psd(a, restarts=6)
+                except OverflowError as exc:
+                    assert str(exc) == "the exact sum lies beyond the float range"
+                    continue
+            decided += v.decided
+            if v.decision == "not_psd":
+                assert _exact_form(a, v.witness) < 0
+        assert decided >= 10
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):

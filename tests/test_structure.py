@@ -8,28 +8,53 @@ from ctensor.core import (
     DenseTensor,
     apply_full,
     circulant_from_root,
-    identity_tensor,
     materialize,
     symmetrize,
-    diagonal_part,
 )
+from ctensor.diag_root import DiagRootSpec, expand
 from ctensor.structure import (
     SignClass,
+    _parity_signed,
     b_class,
     classify_sign,
     classify_sign_array,
     hat_one_k,
     is_doubly_circulant,
     is_k_alternative,
-    row_sign_decomposition,
 )
 
-from oracles import parity_signs, random_circulant
+from oracles import diag_root_form, parity_signs, random_circulant
 
 
 def alternative_root(rng, m, n):
     """Random root with the alternating sign pattern baked in."""
     return np.abs(rng.normal(size=(n,) * (m - 1))) * parity_signs((n,) * (m - 1))
+
+
+def row_sign_decomposition(a) -> bool:
+    """The row-parity theorem on the materialized tensor: it is alternative
+    (sign 1) or negatively alternative (sign -1) iff its odd rows (1-based)
+    have that sign class and its even rows the other one; for even m and n
+    also iff its root has it.  The root equivalence fails for odd m."""
+    full = materialize(a).array
+
+    def alt(arr, sign):
+        return bool((sign * _parity_signed(arr) >= 0).all())
+
+    ok = all(
+        alt(full, s) == all(alt(row, s if k % 2 == 0 else -s) for k, row in enumerate(full))
+        for s in (1, -1)
+    )
+    if a.order % 2 == 0 and a.dim % 2 == 0:
+        ok &= all(alt(full, s) == alt(a.root.array, s) for s in (1, -1))
+    return ok
+
+
+def off_diagonal(t) -> np.ndarray:
+    """The dense array with its diagonal (j, ..., j) zeroed."""
+    arr = np.array(materialize(t).array)
+    np.fill_diagonal(arr, 0.0)
+    return arr
 
 
 class TestClassifySign:
@@ -98,7 +123,7 @@ class TestBClass:
         assert x @ a @ x == pytest.approx(-8.0)
 
     def test_identity_is_b(self):
-        report = b_class(identity_tensor(4, 3))
+        report = b_class(materialize(expand(DiagRootSpec(4, np.eye(1, 3)[0]))))
         assert report.is_b and report.is_b0
 
     def test_identity_circulant_fast_path(self):
@@ -106,7 +131,9 @@ class TestBClass:
         root = np.zeros((2, 2, 2))
         root[0, 0, 0] = 1.0
         a = circulant_from_root(root)
-        assert np.array_equal(materialize(a).array, identity_tensor(4, 2).array)
+        eye = np.zeros((2,) * 4)
+        np.fill_diagonal(eye, 1.0)
+        assert np.array_equal(materialize(a).array, eye)
         report = b_class(a)
         assert report.is_b
 
@@ -185,8 +212,6 @@ class TestHatOneK:
     def test_block_witness_exposes_failed_dominance(self, rng):
         # a stride-k alternating coefficient vector violating dominance makes
         # the form negative at the matching block vector
-        from ctensor.diag_root import DiagRootSpec, diag_root_form
-
         n, k = 8, 2
         c = np.zeros(n)
         c[0] = 1.0
@@ -231,20 +256,20 @@ class TestSignClassPreservation:
             root = sign * np.abs(rng.normal(size=(3, 3)))
             root[0, 0] = rng.normal()  # diagonal may be anything
             a = circulant_from_root(root)
-            arr = materialize(a).array - diagonal_part(a).array
+            arr = off_diagonal(a)
             tag = classify_sign_array(arr)
             s = symmetrize(a)
-            arr_s = materialize(s).array - diagonal_part(s).array
+            arr_s = off_diagonal(s)
             assert classify_sign_array(arr_s) == tag
 
     def test_alternative_class_survives_even_even(self, rng):
         root = alternative_root(rng, 4, 2)
         root[0, 0, 0] = abs(root[0, 0, 0])
         a = circulant_from_root(root)
-        arr = materialize(a).array - diagonal_part(a).array
+        arr = off_diagonal(a)
         assert classify_sign_array(arr) == SignClass.ALTERNATIVE
         s = symmetrize(a)
-        arr_s = materialize(s).array - diagonal_part(s).array
+        arr_s = off_diagonal(s)
         assert classify_sign_array(arr_s) == SignClass.ALTERNATIVE
 
     def test_form_is_preserved_with_class(self, rng):
