@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, _contract, _scaled, materialize, symmetrize
+from .core import Tensor, _contract, _normalized, materialize, symmetrize
 
 
 @dataclass(frozen=True)
@@ -199,41 +199,19 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     return blocks, iterations, converged
 
 
-# symmetrizing sums m! entries and a block gradient n^(m-1) of them, and the
-# iteration squares gradients: with both sums below 2^_RANGE_EXP no step
-# comes near the float range
-_RANGE_EXP = 500
-
-
-def _into_range(a: Tensor) -> tuple[Tensor, int]:
-    """``a`` times 2^-shift, and the shift.
-
-    The shift is 0, and ``a`` itself is returned, unless m! n^(m-1) max|a|
-    reaches 2^_RANGE_EXP, that is unless the entries come near the float
-    range.  Then the entries are scaled to max|a| in [1, 2), the scale the
-    default penalty suits, and 2^shift is a float.  The scaling is exact
-    (bar entries that underflow, far below the largest), and it moves
-    neither the sphere minimizer nor the sign of the minimum.
-    """
-    top = math.frexp(a.max_abs)[1]
-    reach = (math.factorial(a.order) * a.dim ** (a.order - 1)).bit_length()
-    if top + reach < _RANGE_EXP:
-        return a, 0
-    return _scaled(a, 1 - top), top - 1
-
-
-def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult]:
-    """One result per row of ``starts`` (R, n), in row order.
+def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> tuple[list[AdmmResult], int]:
+    """One result per row of ``starts`` (R, n), in row order, and the shift.
 
     The iteration runs on the symmetrized tensor: the objective A x^m is
     unchanged, and exchangeable blocks keep the consensus coupling stable
     (the raw multilinear form of a one-sided tensor can cycle forever).
-    A tensor with entries near the float range runs scaled (``_into_range``)
-    and its values are scaled back: a value beyond the float range is
-    reported as an infinity of its sign.
+    It runs at one scale for every input, on ``a`` times the power of two
+    that brings max|a| into [8, 16) (``core._normalized``), and the values
+    are scaled back exactly: 2^k A gives the points and iterations of A and
+    its values times 2^k.  A value beyond the float range is reported as an
+    infinity of its sign.
     """
-    a, shift = _into_range(a)
-    unit = 2.0**shift
+    a, shift = _normalized(a)
     arr = materialize(symmetrize(a)).array
     m, n = arr.ndim, arr.shape[0]
     starts = np.asarray(starts, dtype=float)
@@ -247,12 +225,14 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
     blocks, iterations, converged = _iterate(arr, starts / norms, params)
     points = np.ascontiguousarray(blocks[0].T)
     values = (_contract(arr, [points] * (m - 1)) * points).sum(axis=1)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, shift)
     diffs = blocks[:, None] - blocks[None, :]
     gaps = np.sqrt((diffs * diffs).sum(axis=2)).max(axis=(0, 1))
     time_s = (time.perf_counter() - t0) / len(starts)
     return [
         AdmmResult(
-            value=float(values[i]) * unit,
+            value=float(values[i]),
             point=points[i],
             iterations=int(iterations[i]),
             converged=bool(converged[i]),
@@ -260,7 +240,7 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> list[AdmmResult
             time_s=time_s,
         )
         for i in range(len(starts))
-    ]
+    ], shift
 
 
 def _starts(seed: int, count: int, n: int) -> np.ndarray:
@@ -283,7 +263,7 @@ def minimize(
     restart 0 in ``multi_start`` with the same seed, so the two agree."""
     params = params or AdmmParams()
     x0 = _starts(params.seed, 1, a.dim) if x0 is None else np.asarray(x0, dtype=float)[None]
-    return _solve(a, params, x0)[0]
+    return _solve(a, params, x0)[0][0]
 
 
 def multi_start(
@@ -303,20 +283,22 @@ def multi_start(
     batch width moves the GEMM's last bits).  All restarts iterate together
     as one batch, so every ``AdmmResult.time_s`` is the batch wall time
     shared evenly across the restarts.  ``best`` is the lowest-index restart
-    whose value is within a relative 1e-12 of the minimum.  When a
-    reference optimum is given, a run counts as a success if its value is
-    within 1e-5 of it.
+    within 1e-12 max(|low|, 2^shift) of the minimum low, 2^shift the scale
+    the solve ran at.  When a reference optimum is given, a run counts as a
+    success if its value is within 1e-5 of it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     params = params or AdmmParams()
-    results = _solve(a, params, _starts(params.seed, restarts, a.dim))
+    results, shift = _solve(a, params, _starts(params.seed, restarts, a.dim))
     values = np.array([r.value for r in results])
     # minima come in families (x and -x, cyclic shifts) whose values tie up
-    # to rounding; a tolerance keeps the chosen point from hinging on ulps
+    # to rounding; a tolerance keeps the chosen point from hinging on ulps.
+    # It scales with the input, so 2^k A picks the restart A does, and its
+    # floor ties the noise of either sign at a minimum of 0; a minimum
+    # beyond the float range (an infinity) ties only with itself
     low = values.min()
-    # a minimum beyond the float range (an infinity) ties only with itself
-    tol = 1e-12 * max(1.0, abs(low)) if math.isfinite(low) else 0.0
+    tol = 1e-12 * max(abs(low), math.ldexp(1.0, shift)) if math.isfinite(low) else 0.0
     best = results[int(np.argmax(values <= low + tol))]
     success = None
     if reference is not None:

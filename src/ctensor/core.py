@@ -339,14 +339,14 @@ def symmetrize(a: Tensor):
     Every entry is an average of finite entries, but a partial sum of up
     to m! of them can overflow when m! max|a| nears the float range.  From
     2^1023 on (half the range, a margin for rounding) the sum runs on the
-    entries times 2^-e, max|a| < 2^e, and the averages are scaled back:
-    exact, bar entries that underflow, far below the largest.  Below it the
-    entries are summed as they are.
+    ``_normalized`` entries and the averages are scaled back: exact, bar
+    entries that underflow, far below the largest.  Below it the entries
+    are summed as they are.
     """
     if math.factorial(a.order) * a.max_abs < 2.0**1023:
         return _coset_average(a)
-    shift = math.frexp(a.max_abs)[1]
-    return _scaled(_coset_average(_scaled(a, -shift)), shift)
+    b, shift = _normalized(a)
+    return _scaled(_coset_average(b), shift)
 
 
 def _scaled(a: Tensor, shift: int) -> Tensor:
@@ -355,6 +355,19 @@ def _scaled(a: Tensor, shift: int) -> Tensor:
     if isinstance(a, DenseTensor):
         return DenseTensor(scaled)
     return circulant_from_root(scaled)
+
+
+def _normalized(a: Tensor) -> tuple[Tensor, int]:
+    """``a`` times 2^-shift with max|a| in [8, 16), and the shift; ``a``
+    itself, shift 0, when max|a| lies there already.
+    Every numeric solve runs at this one scale: the default ADMM penalty
+    was set on the paper's instances, whose max|a| lie in it.  A power of
+    two scales exactly, bar entries that underflow, far below the largest,
+    and moves neither the sphere minimizer nor any sign."""
+    shift = math.frexp(a.max_abs)[1] - 4
+    if shift == 0:
+        return a, 0
+    return _scaled(a, -shift), shift
 
 
 def _coset_average(a: Tensor) -> Tensor:

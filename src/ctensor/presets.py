@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CirculantTensor, circulant_from_root, materialize
-from .diag_root import DiagRootSpec, expand
+from .diag_root import DiagRootSpec
 
 
 def showcase_order3() -> CirculantTensor:

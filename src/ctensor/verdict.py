@@ -56,8 +56,8 @@ def inconclusive(**details) -> PsdVerdict:
     return PsdVerdict(INCONCLUSIVE, None, None, dict(details))
 
 
-def _rounding_band(a, w: np.ndarray) -> float:
-    """A bound on |fl(A w^m) - A w^m| for the float value of ``apply_full``.
+def _rounding_band(a, w: np.ndarray, top) -> float:
+    """A bound on |fl(A w^m) - A w^m| for ``apply_full``, top = max|w|.
 
     ``apply_full`` runs m contractions, each an n-term sum of products in any
     order, so a term a_{j1..jm} w_{j1}...w_{jm} meets K = mn roundings.  With
@@ -72,17 +72,17 @@ def _rounding_band(a, w: np.ndarray) -> float:
     with g <= 1/3 the error is at most 1.5 g (M' + U) + U <= 2 (g M' + U),
     the value returned (the spare half of g M' covers its own rounding).
     """
-    gamma, underflow, _ = _band_terms(a, w)
+    gamma, underflow = _band_terms(a, top)
     mag = float(_form(a, np.abs(w), np.abs(_stored(a))))
     return 2 * (gamma * mag + underflow)
 
 
-def _band_terms(a, w: np.ndarray) -> tuple[float, float, float]:
-    """The floats g and U of ``_rounding_band``, and max|w|."""
+def _band_terms(a, top) -> tuple[float, float]:
+    """The floats g and U of ``_rounding_band``, for max|w| = ``top``, a
+    numpy float: its power overflows to inf."""
     m, n = a.order, a.dim
-    top = np.max(np.abs(w))  # a numpy float: its power overflows to inf
     gamma = m * n * 2.0**-53 / (1 - m * n * 2.0**-53)
-    return gamma, n**m * 2.0**-1073 * max(1.0, top) ** m, float(top)
+    return gamma, n**m * 2.0**-1073 * max(1.0, top) ** m
 
 
 def _up(x: float) -> float:
@@ -92,8 +92,9 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _coarse_band(a, w: np.ndarray) -> float:
-    """An upper bound on ``_rounding_band(a, w)`` without its contraction.
+def _coarse_band(a, top) -> float:
+    """An upper bound on ``_rounding_band(a, w, top)`` without its
+    contraction, from ``top`` = max|w| alone.
 
     Every term of M = |A|(|w|)^m is at most max|w|^m, so
     M <= B = max|w|^m * sum|A|, and sum|A| = n * sum|root| for a circulant
@@ -107,7 +108,8 @@ def _coarse_band(a, w: np.ndarray) -> float:
     gives the band.  So X = (1 + g+) B + U+ >= M', and the same expression
     with X in place of M' is at least the band: rounding is monotone.
     """
-    gamma, underflow, top = _band_terms(a, w)
+    gamma, underflow = _band_terms(a, top)
+    top = float(top)
     stored = _stored(a)
     with np.errstate(over="ignore"):  # an infinite sum is still an upper bound
         total = _up(float(np.abs(stored).sum()) * _up(1 + stored.size * 2.0**-52))
@@ -126,15 +128,17 @@ def _coarse_band(a, w: np.ndarray) -> float:
 _RANGE_EXP = 1000
 
 
-def _in_range(a, w: np.ndarray) -> np.ndarray:
+def _in_range(a, w: np.ndarray) -> tuple[np.ndarray, np.floating]:
     """``w`` times the power of two that brings n^m max|a| max|w|^m below
-    2^_RANGE_EXP, or ``w`` itself where it is below already.  The form is
-    homogeneous of degree m, so the scaling keeps the sign of its value."""
-    top = float(np.max(np.abs(w)))
+    2^_RANGE_EXP, or ``w`` itself where it is below already, and its max|w|
+    as a numpy float.  The form is homogeneous of degree m, so the scaling
+    keeps the sign of its value, and max|w| scales exactly."""
+    top = np.max(np.abs(w))
     reach = (a.dim**a.order).bit_length() + math.frexp(a.max_abs)[1] + a.order * math.frexp(top)[1]
     if reach <= _RANGE_EXP:
-        return w
-    return np.ldexp(w, (_RANGE_EXP - reach) // a.order)
+        return w, top
+    shift = (_RANGE_EXP - reach) // a.order
+    return np.ldexp(w, shift), np.ldexp(top, shift)
 
 
 def not_psd_verdict(a, witness, certificate: str | None, details: dict) -> PsdVerdict | None:
@@ -146,10 +150,10 @@ def not_psd_verdict(a, witness, certificate: str | None, details: dict) -> PsdVe
     A witness whose value could come near the float range is first scaled
     by a power of two (``_in_range``), so that no value or band overflows;
     the scaled witness is the one verified and returned."""
-    witness = _in_range(a, np.asarray(witness, dtype=float))
+    witness, top = _in_range(a, np.asarray(witness, dtype=float))
     value = deciding = float(apply_full(a, witness))
     details = dict(details)
-    if abs(value) <= _coarse_band(a, witness) and abs(value) <= _rounding_band(a, witness):
+    if abs(value) <= _coarse_band(a, top) and abs(value) <= _rounding_band(a, witness, top):
         deciding = _exact_form(a, witness)
         details["witness_value_exact"] = float(deciding)
     if not deciding < 0:

@@ -11,7 +11,6 @@ from ctensor import presets
 from ctensor.admm import AdmmParams, multi_start
 from ctensor.core import (
     apply_full,
-    circulant_from_root,
     entry,
     is_circulant,
     materialize,

@@ -11,6 +11,7 @@ from ctensor import presets
 from ctensor.admm import AdmmParams, minimize, multi_start, subproblem
 from ctensor.core import apply_full, circulant_from_root, materialize, symmetrize
 from ctensor.diag_root import expand
+from ctensor.hypergraph import laplacian, orbit_closure
 from ctensor.psd import brute_force_min
 
 from oracles import (
@@ -339,7 +340,7 @@ class TestMultiStart:
 
         def fake_solve(a, params, starts):
             vals = [-5.0, -5.0 - 4e-12, -5.0 - 6e-12, -5.0 - 2e-11]
-            return [AdmmResult(v, np.ones(2), 1, True, 0.0) for v in vals[: len(starts)]]
+            return [AdmmResult(v, np.ones(2), 1, True, 0.0) for v in vals[: len(starts)]], 0
 
         monkeypatch.setattr(admm, "_solve", fake_solve)
         a = expand(presets.by_name("example5"))
@@ -371,6 +372,57 @@ class TestMultiStart:
                 assert (r.iterations, r.converged) == (s.iterations, s.converged)
                 assert np.array_equal(r.point, s.point)
                 assert r.value == s.value * 2.0**1023
+
+    @pytest.mark.parametrize(
+        "signs, k",
+        [(False, k) for k in (-400, -60, 20, 400, 1020)] + [(True, -1074)],
+        ids=["2^-400", "2^-60", "2^20", "2^400", "2^1020", "signs-2^-1074"],
+    )
+    def test_entries_scaled_by_powers_of_two(self, signs, k):
+        # every solve runs at one scale, max|a| in [8, 16): 2^k A gives the
+        # iterations, convergence flags and points of A, and its values
+        # times 2^k exactly, down to a root of +-2^-1074 entries
+        root = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3, 3))
+        if signs:
+            root = np.sign(root)
+        unit = multi_start(circulant_from_root(root), restarts=4)
+        scaled = circulant_from_root(np.ldexp(root, k))
+        for a in (scaled, materialize(scaled)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = multi_start(a, restarts=4)
+            for r, s in zip(rep.results, unit.results):
+                assert (r.iterations, r.converged) == (s.iterations, s.converged)
+                assert np.array_equal(r.point, s.point)
+                assert r.value == np.ldexp(s.value, k)
+
+    @pytest.mark.parametrize("draw", [1, 30])
+    def test_best_is_scale_free(self, draw):
+        # draws of default_rng(7)'s order-4, n = 3 loop at 2^-60, where every
+        # value is far below 1: the near-tie tolerance is relative, so the
+        # best restart is within 1e-12 of the minimum, not restart 0 by an
+        # absolute tolerance wider than all the values
+        rng = np.random.default_rng(7)
+        for _ in range(draw + 1):
+            root = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+        a = circulant_from_root(np.ldexp(root, -60))
+        rep = multi_start(a, AdmmParams(seed=0), restarts=8)
+        low = rep.values.min()
+        assert abs(rep.best.value - low) <= 1e-12 * abs(low)
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_best_at_a_zero_minimum(self, k):
+        # the Laplacian of the 4-uniform hypergraph on Z_8 generated by
+        # {1, 2, 3, 4} has sphere minimum 0, which restarts reach as rounding
+        # noise: the tolerance's floor at the solve's scale ties them all, so
+        # at every scale the best is the lowest-index one, not the one whose
+        # noise happens to be least
+        lap = laplacian(orbit_closure([[1, 2, 3, 4]], 8))
+        a = circulant_from_root(np.ldexp(lap.root.array, k))
+        rep = multi_start(a, AdmmParams(seed=2), restarts=8)
+        at_zero = np.abs(rep.values) <= np.ldexp(1e-12, k)
+        assert at_zero.sum() > 1
+        assert rep.best is rep.results[int(np.argmax(at_zero))]
 
     def test_minimum_beyond_float_range(self):
         # A x^4 = -4e308 at x = (1, 1)/sqrt(2): values scale back to -inf

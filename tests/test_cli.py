@@ -12,7 +12,7 @@ import pytest
 from ctensor import presets
 from ctensor.cli import dispatch
 from ctensor.diag_root import DiagRootSpec
-from ctensor.io import as_tensor, load_tensor, tensor_from_dict, tensor_to_dict
+from ctensor.io import as_tensor, tensor_from_dict, tensor_to_dict
 
 
 def run_cli(argv, capsys):

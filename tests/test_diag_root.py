@@ -24,7 +24,6 @@ from oracles import (
     diag_root_psd,
     exact_dense_form,
     naive_form,
-    random_circulant,
 )
 
 

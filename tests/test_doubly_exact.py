@@ -273,8 +273,8 @@ def test_exact_value_decides(monkeypatch, name):
     # value decides each one (the coarse bound is the band's upper bound, so
     # it is widened with it)
     a = dict(CASES)[name]
-    monkeypatch.setattr(verdict_mod, "_coarse_band", lambda a, w: float("inf"))
-    monkeypatch.setattr(verdict_mod, "_rounding_band", lambda a, w: float("inf"))
+    monkeypatch.setattr(verdict_mod, "_coarse_band", lambda a, top: float("inf"))
+    monkeypatch.setattr(verdict_mod, "_rounding_band", lambda a, w, top: float("inf"))
     monkeypatch.setattr(verdict_mod, "_exact_form", lambda a, w: Fraction(0))
     v = doubly_psd(a)
     assert v.decision == INCONCLUSIVE

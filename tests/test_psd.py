@@ -15,7 +15,7 @@ from ctensor.core import (
     materialize,
 )
 from ctensor.diag_root import DiagRootSpec, expand
-from ctensor.hypergraph import laplacian, orbit_closure, signless_laplacian
+from ctensor.hypergraph import laplacian, orbit_closure
 from ctensor.psd import (
     brute_force_min,
     check_psd,
@@ -110,7 +110,7 @@ class TestRefutationEmitter:
             for t in (a, materialize(a)):
                 w = rng.normal(size=n) * 2.0 ** rng.integers(-3, 3, size=n)
                 err = Fraction(apply_full(t, w)) - exact_dense_form(t, w)
-                assert abs(err) <= Fraction(_rounding_band(t, w))
+                assert abs(err) <= Fraction(_rounding_band(t, w, np.max(np.abs(w))))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**-1060, 2.0**900],
                              ids=["1", "2^-1000", "2^-1060", "2^900"])
@@ -125,11 +125,12 @@ class TestRefutationEmitter:
                 root = np.sign(root) * scale
                 w = np.sign(w) * 2.0 ** int(rng.integers(-8, 8))
             a = circulant_from_root(root)
+            top = np.max(np.abs(w))
             for t in (a, materialize(a)):
-                assert _coarse_band(t, w) >= _rounding_band(t, w)
+                assert _coarse_band(t, top) >= _rounding_band(t, w, top)
 
     def test_band_contraction_only_within_coarse_band(self, monkeypatch):
-        def fail(a, w):
+        def fail(a, w, top):
             raise AssertionError("band contraction for a value outside the coarse band")
 
         monkeypatch.setattr(verdict_mod, "_rounding_band", fail)
@@ -410,7 +411,9 @@ class TestHairlineCertificates:
             v = check_psd(a, mode="certificates_only")
             if v.decision != "not_psd":
                 continue
-            inside = abs(v.details["witness_value"]) <= _rounding_band(a, v.witness)
+            inside = abs(v.details["witness_value"]) <= _rounding_band(
+                a, v.witness, np.max(np.abs(v.witness))
+            )
             in_band += inside
             assert ("witness_value_exact" in v.details) == inside
             assert exact_dense_form(a, v.witness) < 0
@@ -507,6 +510,24 @@ class TestCheckPsdChain:
             value = apply_full(big, v.witness)
         assert v.decision == "not_psd"
         assert value == v.details["witness_value"] < 0
+
+    @pytest.mark.parametrize("draw", [0, 5])
+    def test_numeric_stage_at_every_scale(self, draw):
+        # draws of default_rng(1)'s order-4, n = 3 loop that the numeric
+        # stage refutes at scale 1: it runs at one scale, so 2^k A is
+        # refuted across the float range, each witness verified exactly
+        rng = np.random.default_rng(1)
+        for _ in range(draw + 1):
+            root = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+        for k in (-1060, -1000, -400, -40, 0, 40, 400, 900, 1020):
+            a = circulant_from_root(np.ldexp(root, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = check_psd(a)
+            assert (v.decision, v.certificate) == ("not_psd", "numeric_evidence"), k
+            band = _rounding_band(a, v.witness, np.max(np.abs(v.witness)))
+            assert ("witness_value_exact" in v.details) == (abs(v.details["witness_value"]) <= band)
+            assert _exact_form(a, v.witness) < 0
 
     def test_entries_near_float_range_decide_or_overflow(self):
         # roots with entries up to 1.7e308: each draw is decided, with a
