@@ -28,6 +28,8 @@ from .core import Tensor, _contract, _normalized, materialize, symmetrize
 
 @dataclass(frozen=True)
 class AdmmParams:
+    # the penalty acts on the normalized tensor (``core._normalized``), whose
+    # largest row 1-norm lies in [8, 16): the Table 1 instances at half scale
     beta: float = 1.2
     epsilon: float = 1e-6
     max_iters: int = 5000
@@ -199,17 +201,20 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     return blocks, iterations, converged
 
 
-def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> tuple[list[AdmmResult], int]:
-    """One result per row of ``starts`` (R, n), in row order, and the shift.
+def _solve(
+    a: Tensor, params: AdmmParams, starts: np.ndarray
+) -> tuple[list[AdmmResult], np.ndarray]:
+    """One result per row of ``starts`` (R, n), in row order, and the values
+    at the solve's scale.
 
     The iteration runs on the symmetrized tensor: the objective A x^m is
     unchanged, and exchangeable blocks keep the consensus coupling stable
     (the raw multilinear form of a one-sided tensor can cycle forever).
     It runs at one scale for every input, on ``a`` times the power of two
-    that brings max|a| into [8, 16) (``core._normalized``), and the values
-    are scaled back exactly: 2^k A gives the points and iterations of A and
-    its values times 2^k.  A value beyond the float range is reported as an
-    infinity of its sign.
+    that brings its largest row 1-norm into [8, 16) (``core._normalized``),
+    and the values are scaled back exactly: 2^k A gives the points,
+    iterations and solve-scale values of A and its values times 2^k.  A
+    value beyond the float range is reported as an infinity of its sign.
     """
     a, shift = _normalized(a)
     arr = materialize(symmetrize(a)).array
@@ -224,9 +229,9 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> tuple[list[Admm
     t0 = time.perf_counter()
     blocks, iterations, converged = _iterate(arr, starts / norms, params)
     points = np.ascontiguousarray(blocks[0].T)
-    values = (_contract(arr, [points] * (m - 1)) * points).sum(axis=1)
+    solved = (_contract(arr, [points] * (m - 1)) * points).sum(axis=1)
     with np.errstate(over="ignore"):
-        values = np.ldexp(values, shift)
+        values = np.ldexp(solved, shift)
     diffs = blocks[:, None] - blocks[None, :]
     gaps = np.sqrt((diffs * diffs).sum(axis=2)).max(axis=(0, 1))
     time_s = (time.perf_counter() - t0) / len(starts)
@@ -240,7 +245,7 @@ def _solve(a: Tensor, params: AdmmParams, starts: np.ndarray) -> tuple[list[Admm
             time_s=time_s,
         )
         for i in range(len(starts))
-    ], shift
+    ], solved
 
 
 def _starts(seed: int, count: int, n: int) -> np.ndarray:
@@ -283,23 +288,22 @@ def multi_start(
     batch width moves the GEMM's last bits).  All restarts iterate together
     as one batch, so every ``AdmmResult.time_s`` is the batch wall time
     shared evenly across the restarts.  ``best`` is the lowest-index restart
-    within 1e-12 max(|low|, 2^shift) of the minimum low, 2^shift the scale
+    within 1e-12 max(|low|, 1) of the minimum low, both taken at the scale
     the solve ran at.  When a reference optimum is given, a run counts as a
     success if its value is within 1e-5 of it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     params = params or AdmmParams()
-    results, shift = _solve(a, params, _starts(params.seed, restarts, a.dim))
+    results, solved = _solve(a, params, _starts(params.seed, restarts, a.dim))
     values = np.array([r.value for r in results])
     # minima come in families (x and -x, cyclic shifts) whose values tie up
     # to rounding; a tolerance keeps the chosen point from hinging on ulps.
-    # It scales with the input, so 2^k A picks the restart A does, and its
-    # floor ties the noise of either sign at a minimum of 0; a minimum
-    # beyond the float range (an infinity) ties only with itself
-    low = values.min()
-    tol = 1e-12 * max(abs(low), math.ldexp(1.0, shift)) if math.isfinite(low) else 0.0
-    best = results[int(np.argmax(values <= low + tol))]
+    # It is taken on the solve-scale values, which are finite and the same
+    # for 2^k A as for A, so 2^k A picks the restart A does; its floor ties
+    # the noise of either sign at a minimum of 0
+    low = solved.min()
+    best = results[int(np.argmax(solved <= low + 1e-12 * max(abs(low), 1.0)))]
     success = None
     if reference is not None:
         success = float(np.mean(np.abs(values - reference) <= 1e-5))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import plans
-from .exactsum import _scaled_ints
+from .exactsum import _fsum, _scaled_ints
 
 DEFAULT_BUDGET = 10**7
 # entries per gathered block in symmetrize: the block stays in cache and no
@@ -358,13 +358,20 @@ def _scaled(a: Tensor, shift: int) -> Tensor:
 
 
 def _normalized(a: Tensor) -> tuple[Tensor, int]:
-    """``a`` times 2^-shift with max|a| in [8, 16), and the shift; ``a``
-    itself, shift 0, when max|a| lies there already.
-    Every numeric solve runs at this one scale: the default ADMM penalty
-    was set on the paper's instances, whose max|a| lie in it.  A power of
-    two scales exactly, bar entries that underflow, far below the largest,
-    and moves neither the sphere minimizer nor any sign."""
-    shift = math.frexp(a.max_abs)[1] - 4
+    """``a`` times 2^-shift with its largest row 1-norm in [8, 16), and the
+    shift; ``a`` itself, shift 0, when that norm lies there already.
+    That norm, max_i sum |a[i, ...]| (sum |root| for a circulant), bounds
+    the gradient A x^(m-1) entrywise on the unit sphere, so every numeric
+    solve runs with the same penalty relative to its data.  It is an exact
+    sum of the entries times 2^-e, max|a| < 2^e: it cannot overflow, and it
+    gives 2^k A the shift of A plus k and a circulant the shift of its dense
+    form.  A power of two scales exactly, bar entries that underflow, far
+    below the largest, and moves neither the sphere minimizer nor any
+    sign."""
+    e = math.frexp(a.max_abs)[1]
+    rows = np.ldexp(np.abs(_stored(a)), -e)
+    rows = rows.reshape(1 if isinstance(a, CirculantTensor) else a.dim, -1)
+    shift = e + math.frexp(max(_fsum(row) for row in rows))[1] - 4
     if shift == 0:
         return a, 0
     return _scaled(a, -shift), shift

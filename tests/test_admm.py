@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctensor import presets
 from ctensor.admm import AdmmParams, minimize, multi_start, subproblem
-from ctensor.core import apply_full, circulant_from_root, materialize, symmetrize
+from ctensor.core import _normalized, apply_full, circulant_from_root, materialize, symmetrize
 from ctensor.diag_root import expand
 from ctensor.hypergraph import laplacian, orbit_closure
 from ctensor.psd import brute_force_min
@@ -116,7 +116,8 @@ class TestRestartLayout:
 
     @staticmethod
     def _reference(a, seed, restarts=100):
-        arr = materialize(symmetrize(a)).array
+        # the solve runs on the normalized tensor
+        arr = materialize(symmetrize(_normalized(a)[0])).array
         starts = np.random.default_rng(seed).normal(size=(restarts, a.dim))
         starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
         return reference_iterate(arr, starts, AdmmParams(seed=seed))
@@ -154,13 +155,13 @@ class TestKernelOrders:
     def test_same_iterations_and_values(self, m, n, restarts, escalating):
         a = random_circulant(np.random.default_rng([m, n]), m, n)
         if escalating:
-            params = AdmmParams(seed=0, max_iters=30, escalations=3)
+            params = AdmmParams(seed=0, max_iters=23, escalations=3)
         else:
             params = AdmmParams(seed=0)
         rep = multi_start(a, params, restarts=restarts)
         starts = np.random.default_rng(0).normal(size=(restarts, n))
         starts /= np.sqrt((starts * starts).sum(axis=1, keepdims=True))
-        arr = materialize(symmetrize(a)).array
+        arr = materialize(symmetrize(_normalized(a)[0])).array
         blocks, iterations, converged = reference_iterate(arr, starts, params)
         assert [r.iterations for r in rep.results] == iterations.tolist()
         assert [r.converged for r in rep.results] == converged.tolist()
@@ -299,10 +300,11 @@ class TestMultiStart:
         # the batch wall time is shared evenly
         assert len({r.time_s for r in batch.results}) == 1
 
-    @pytest.mark.parametrize("max_iters", [28, 40])
+    @pytest.mark.parametrize("max_iters", [26, 27])
     def test_escalation_inside_batch(self, max_iters):
-        # at 40 iterations some restarts stop at the first penalty and the
-        # others escalate; at 28 some stop at the second and the others never
+        # at 27 iterations some restarts stop at the first penalty and the
+        # others escalate and never stop (the second penalty needs 38-41); at
+        # 26 those that stop do so on the attempt's last iteration
         a = expand(presets.by_name("example5"))
         params = AdmmParams(seed=0, max_iters=max_iters, escalations=3)
         batch = self._assert_matches_one_at_a_time(a, params, 8)
@@ -311,11 +313,13 @@ class TestMultiStart:
         assert any(attempt > 1 for attempt, _ in outcomes)
 
     @pytest.mark.parametrize(
-        "name,iterations_mean", [("example5", 40.29), ("example6", 338.98)]
+        "name,iterations_mean,success_rate",
+        [("example5", 27.63, 1.0), ("example6", 53.43, 0.98)],
     )
-    def test_seed0_table1_pinned(self, name, iterations_mean):
-        # read from oracles.reference_iterate, whose summation order is not
-        # the kernel's
+    def test_seed0_table1_pinned(self, name, iterations_mean, success_rate):
+        # read from oracles.reference_iterate on the normalized tensor, whose
+        # summation order is not the kernel's; two example6 restarts (35 and
+        # 96) converge to the critical value 0.884045, not the minimum
         rep = multi_start(
             expand(presets.by_name(name)),
             AdmmParams(seed=0),
@@ -323,7 +327,7 @@ class TestMultiStart:
             reference=presets.BENCHMARK_REFERENCES[name],
         )
         assert rep.iterations_mean == iterations_mean
-        assert rep.success_rate == 1.0
+        assert rep.success_rate == success_rate
 
     def test_tied_restarts_take_lowest_index(self):
         # seed 3: both restarts reach the example5 minimum at different
@@ -340,7 +344,8 @@ class TestMultiStart:
 
         def fake_solve(a, params, starts):
             vals = [-5.0, -5.0 - 4e-12, -5.0 - 6e-12, -5.0 - 2e-11]
-            return [AdmmResult(v, np.ones(2), 1, True, 0.0) for v in vals[: len(starts)]], 0
+            vals = vals[: len(starts)]
+            return [AdmmResult(v, np.ones(2), 1, True, 0.0) for v in vals], np.array(vals)
 
         monkeypatch.setattr(admm, "_solve", fake_solve)
         a = expand(presets.by_name("example5"))
@@ -379,9 +384,9 @@ class TestMultiStart:
         ids=["2^-400", "2^-60", "2^20", "2^400", "2^1020", "signs-2^-1074"],
     )
     def test_entries_scaled_by_powers_of_two(self, signs, k):
-        # every solve runs at one scale, max|a| in [8, 16): 2^k A gives the
-        # iterations, convergence flags and points of A, and its values
-        # times 2^k exactly, down to a root of +-2^-1074 entries
+        # every solve runs at one scale, the largest row 1-norm in [8, 16):
+        # 2^k A gives the iterations, convergence flags and points of A, and
+        # its values times 2^k exactly, down to a root of +-2^-1074 entries
         root = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 3, 3))
         if signs:
             root = np.sign(root)

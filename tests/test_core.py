@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ctensor.core import (
     CirculantTensor,
     DenseTensor,
+    _normalized,
     apply_full,
     apply_partial,
     as_circulant,
@@ -341,6 +343,58 @@ class TestSymmetrize:
         once = symmetrize(DenseTensor(arr)).array
         twice = symmetrize(DenseTensor(once)).array
         assert np.allclose(once, twice, atol=1e-12)
+
+
+class TestNormalized:
+    """``core._normalized``: the power of two that brings the largest row
+    1-norm into [8, 16)."""
+
+    @staticmethod
+    def _root_with_norm(rng, m, n, target, ulps):
+        # dyadic entries whose 1-norm is exactly ``target``, then the largest
+        # moved so the norm lies ``ulps`` floats away from it
+        ints = rng.integers(-9, 10, size=(n,) * (m - 1)).astype(float)
+        ints.flat[0] = 9.0
+        total = np.abs(ints).sum()
+        p = int(total - 1).bit_length()
+        ints.flat[0] += 2.0**p - total
+        root = np.ldexp(ints, int(np.log2(target)) - p)
+        norm = target
+        for _ in range(abs(ulps)):
+            norm = np.nextafter(norm, np.inf if ulps > 0 else 0.0)
+        root.flat[0] += norm - target
+        assert math.fsum(np.abs(root).ravel().tolist()) == norm
+        return root
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (4, 3), (6, 2)])
+    def test_shift_at_the_binade_edges(self, m, n):
+        rng = np.random.default_rng([m, n])
+        for target, ulps, shift in [
+            (8.0, -1, -1), (8.0, 0, 0), (8.0, 1, 0),
+            (16.0, -1, 0), (16.0, 0, 1), (16.0, 1, 1),
+        ]:
+            a = circulant_from_root(self._root_with_norm(rng, m, n, target, ulps))
+            for k in (-1000, 0, 1000):
+                b = circulant_from_root(np.ldexp(a.root.array, k))
+                assert _normalized(b)[1] == shift + k
+                assert _normalized(materialize(b))[1] == shift + k
+
+    def test_circulant_and_dense_agree(self, rng):
+        for _ in range(40):
+            m, n = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+            a = random_circulant(rng, m, n)
+            b, shift = _normalized(a)
+            d, dense_shift = _normalized(materialize(a))
+            assert shift == dense_shift
+            assert 8.0 <= np.abs(b.root.array).sum() < 16.0
+            assert np.array_equal(materialize(b).array, d.array)
+
+    def test_dense_takes_the_largest_row(self):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0], arr[1] = 10.0, 5.0  # row 1-norms 10 and 20
+        a, shift = _normalized(DenseTensor(arr))
+        assert shift == 1
+        assert np.array_equal(a.array, arr / 2)
 
 
 class TestDiagonalPart:

@@ -7,9 +7,11 @@ import pytest
 
 import ctensor.verdict as verdict_mod
 from ctensor import presets
+from ctensor.admm import AdmmParams, multi_start
 from ctensor.core import (
     DenseTensor,
     _exact_form,
+    _normalized,
     apply_full,
     circulant_from_root,
     materialize,
@@ -528,6 +530,23 @@ class TestCheckPsdChain:
             band = _rounding_band(a, v.witness, np.max(np.abs(v.witness)))
             assert ("witness_value_exact" in v.details) == (abs(v.details["witness_value"]) <= band)
             assert _exact_form(a, v.witness) < 0
+
+    def test_unit_scale_draws_run_near_their_own_scale(self):
+        # the first 10 draws of default_rng(1)'s order-4, n = 3 loop that the
+        # certificates leave open have 1-norms 11.2-16.8: nine run unscaled
+        # and the last at half scale, where the numeric stage's ADMM takes
+        # 63.05 iterations a restart (1468.2 when these ran at 16x scale)
+        rng = np.random.default_rng(1)
+        shifts, iterations = [], 0
+        params = AdmmParams(seed=0, max_iters=1200, escalations=3)
+        while len(shifts) < 10:
+            a = circulant_from_root(rng.uniform(-1.0, 1.0, size=(3, 3, 3)))
+            if check_psd(a, mode="certificates_only").decided:
+                continue
+            shifts.append(_normalized(a)[1])
+            iterations += sum(r.iterations for r in multi_start(a, params, 24).results)
+        assert shifts == [0] * 9 + [1]
+        assert iterations == 15133
 
     def test_entries_near_float_range_decide_or_overflow(self):
         # roots with entries up to 1.7e308: each draw is decided, with a
