@@ -23,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, _contract, _normalized, materialize, symmetrize
+from .core import Tensor, _contract, _integer, _normalized, materialize, symmetrize
+
+# the penalty multiples a restart runs at, each from its own start, until it stops
+_PENALTIES = (1.0, 4.0, 16.0)
 
 
 @dataclass(frozen=True)
@@ -32,21 +35,18 @@ class AdmmParams:
     # largest row 1-norm lies in [8, 16): the Table 1 instances at half scale
     beta: float = 1.2
     epsilon: float = 1e-6
-    max_iters: int = 5000
+    # iterations per penalty in ``_PENALTIES``
+    max_iters: int = 1200
     seed: int = 0
-    # if the stopping rule is never met, rerun from the same start with the
-    # penalty scaled by 4, up to this many attempts; 1 disables escalation
-    escalations: int = 4
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
-        if self.max_iters < 1:
+        if _integer(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.escalations < 1:
-            raise ValueError("escalations must be >= 1")
+        _integer(self.seed, "seed")
 
 
 @dataclass
@@ -138,8 +138,9 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
 
     Within a restart the blocks update in Gauss-Seidel order.  A restart
     stops when its full iterate (all blocks and the multiplier) moves less
-    than epsilon; the rest rerun from their own start with the penalty
-    scaled by 4, up to ``params.escalations`` attempts.
+    than epsilon; the rest rerun from their own start at the next penalty
+    in ``_PENALTIES`` (beta, 4 beta, 16 beta), ``params.max_iters``
+    iterations each.
 
     ``arr`` is the symmetrized tensor, so any block's gradient is one GEMM,
     ``arr.reshape(n, -1) @ outer``, against the outer product of the other
@@ -158,10 +159,10 @@ def _iterate(arr: np.ndarray, starts: np.ndarray, params: AdmmParams):
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     live = np.arange(num)
-    for attempt in range(params.escalations):
+    for factor in _PENALTIES:
         if live.size == 0:
             break
-        beta = params.beta * 4.0**attempt
+        beta = params.beta * factor
         state = np.zeros((2, m, n, live.size))
         state[0] = starts[live].T
         batch = _Batch(state)
@@ -261,8 +262,8 @@ def minimize(
     x0: np.ndarray | None = None,
 ) -> AdmmResult:
     """Run the block-update / multiplier-update iteration from one start
-    until the full iterate moves less than epsilon, escalating the penalty
-    when it does not.
+    until the full iterate moves less than epsilon, rerun at 4 and 16 times
+    the penalty while ``params.max_iters`` iterations do not meet that rule.
 
     The start is ``x0`` or, by default, row 0 of ``_starts``: the start of
     restart 0 in ``multi_start`` with the same seed, so the two agree."""

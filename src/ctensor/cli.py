@@ -26,7 +26,6 @@ from .core import (
     CirculantTensor,
     apply_full,
     as_circulant,
-    is_circulant,
     is_toeplitz,
     symmetrize,
 )
@@ -81,12 +80,7 @@ def _csv_rows(rows: list[dict]) -> None:
 
 
 def _load_circulant(path: str) -> CirculantTensor:
-    obj = as_tensor(load_tensor(path))
-    if isinstance(obj, CirculantTensor):
-        return obj
-    if is_circulant(obj, 0.0):
-        return as_circulant(obj)
-    raise ValueError("input tensor is not circulant")
+    return as_circulant(as_tensor(load_tensor(path)))
 
 
 def cmd_eig(args) -> dict:

@@ -145,9 +145,10 @@ def check_psd(
 
     The order: necessary checks, diagonal dominance, B0/B class, the
     diagonal-root refutation, ``doubly_psd`` and, unless
-    ``certificates_only``, the numeric stage.  That refutes when the best
-    multi-start value is negative and ``not_psd_verdict`` verifies the
-    point; otherwise its minimum is evidence only (inconclusive).
+    ``certificates_only``, the numeric stage: ``multi_start`` with the
+    default ``AdmmParams`` schedule, as ``minimize`` runs.  That refutes when
+    the best value is negative and ``not_psd_verdict`` verifies the point;
+    otherwise its minimum is evidence only (inconclusive).
     """
     if mode not in ("with_numeric", "certificates_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -180,10 +181,7 @@ def check_psd(
     if mode == "certificates_only":
         return inconclusive(**trail)
 
-    # tighter iteration budget than the user-facing default: escalation
-    # resolves the slow-consensus cases far faster than a long stall does
-    params = AdmmParams(seed=seed, max_iters=1200, escalations=3)
-    best = multi_start(a, params, restarts).best
+    best = multi_start(a, AdmmParams(seed=seed), restarts).best
     trail["numeric_best"] = best.value
     trail["numeric_converged"] = best.converged
     if best.value < 0:

@@ -244,7 +244,9 @@ def where_subproblem(b: np.ndarray, prev: np.ndarray) -> np.ndarray:
 def reference_iterate(arr: np.ndarray, starts: np.ndarray, params):
     """The batched ADMM iteration on an (R, m, n) block array, restarts on
     the first axis, each block update divided once more by its computed
-    norm.  Same stopping rule and escalation as ``admm._iterate``; returns
+    norm.  Same stopping rule and penalty schedule as ``admm._iterate``: a
+    restart that does not stop within ``params.max_iters`` iterations is
+    rerun from its start at 4 and then 16 times the penalty.  Returns
     blocks (R, m, n), iteration counts and converged flags."""
     from ctensor.core import _contract
 
@@ -260,10 +262,10 @@ def reference_iterate(arr: np.ndarray, starts: np.ndarray, params):
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     live = np.arange(num)
-    for attempt in range(params.escalations):
+    for factor in (1.0, 4.0, 16.0):
         if live.size == 0:
             break
-        beta = params.beta * 4.0**attempt
+        beta = params.beta * factor
         x = np.repeat(starts[live, None, :], m, axis=1)
         lam = np.zeros_like(x)
         for it in range(1, params.max_iters + 1):

@@ -11,7 +11,7 @@ from ctensor import presets
 from ctensor.admm import AdmmParams, minimize, multi_start, subproblem
 from ctensor.core import _normalized, apply_full, circulant_from_root, materialize, symmetrize
 from ctensor.diag_root import expand
-from ctensor.hypergraph import laplacian, orbit_closure
+from ctensor.hypergraph import laplacian, orbit_closure, signless_laplacian
 from ctensor.psd import brute_force_min
 
 from oracles import (
@@ -27,7 +27,7 @@ from oracles import (
 class TestParams:
     def test_defaults(self):
         p = AdmmParams()
-        assert p.beta == 1.2 and p.epsilon == 1e-6 and p.max_iters == 5000
+        assert p.beta == 1.2 and p.epsilon == 1e-6 and p.max_iters == 1200
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +36,10 @@ class TestParams:
             AdmmParams(epsilon=-1.0)
         with pytest.raises(ValueError):
             AdmmParams(max_iters=0)
+        # a bool is not a budget, nor is a fraction of an iteration or a seed
+        for bad in ({"max_iters": True}, {"max_iters": 2.5}, {"seed": 1.5}):
+            with pytest.raises(ValueError, match="integer"):
+                AdmmParams(**bad)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 AdmmParams(beta=bad)
@@ -155,7 +159,7 @@ class TestKernelOrders:
     def test_same_iterations_and_values(self, m, n, restarts, escalating):
         a = random_circulant(np.random.default_rng([m, n]), m, n)
         if escalating:
-            params = AdmmParams(seed=0, max_iters=23, escalations=3)
+            params = AdmmParams(seed=0, max_iters=23)
         else:
             params = AdmmParams(seed=0)
         rep = multi_start(a, params, restarts=restarts)
@@ -210,7 +214,7 @@ class TestMinimize:
         dense_bytes = 20**4 * 8
         tracemalloc.start()
         try:
-            minimize(a, AdmmParams(seed=0, max_iters=5, escalations=1))
+            minimize(a, AdmmParams(seed=0, max_iters=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,11 +310,25 @@ class TestMultiStart:
         # others escalate and never stop (the second penalty needs 38-41); at
         # 26 those that stop do so on the attempt's last iteration
         a = expand(presets.by_name("example5"))
-        params = AdmmParams(seed=0, max_iters=max_iters, escalations=3)
+        params = AdmmParams(seed=0, max_iters=max_iters)
         batch = self._assert_matches_one_at_a_time(a, params, 8)
         outcomes = {(-(-r.iterations // max_iters), r.converged) for r in batch.results}
         assert len(outcomes) >= 2
         assert any(attempt > 1 for attempt, _ in outcomes)
+
+    @pytest.mark.parametrize("name", ["signless", "example3"])
+    def test_psd_forms_converge_on_the_schedule(self, name):
+        # the signless Laplacian of the 4-uniform hypergraph on Z_6 generated
+        # by (1, 2, 3, 5), and example3: forms with minimum 0 on which some
+        # restarts do not converge at beta = 1.2, but every one converges at
+        # 4 or 16 beta within the three attempts of 1200 iterations
+        if name == "signless":
+            a = signless_laplacian(orbit_closure([(1, 2, 3, 5)], n=6))
+        else:
+            a = expand(presets.by_name(name))
+        rep = multi_start(a, AdmmParams(seed=0), restarts=8)
+        assert all(r.converged and r.iterations <= 3 * 1200 for r in rep.results)
+        assert abs(rep.best.value) <= 1e-10
 
     @pytest.mark.parametrize(
         "name,iterations_mean,success_rate",

@@ -133,14 +133,14 @@ class TestDispatch:
         assert doc["success_rate"] >= 0.9
         assert doc["best_converged"] is True
         assert doc["converged_share"] == 1.0
-        # on a short iteration budget with one penalty 4 of 8 restarts
-        # converge but the best (the lowest-index of the tied values) is one
-        # that did not; on a shorter one none does
+        # on a short iteration budget 4 of 8 restarts converge at the first
+        # penalty, and the best is one of them: the others end at 16 times
+        # the penalty, above the minimum; on a shorter budget none converges
         from ctensor import cli
         from ctensor.admm import AdmmParams
 
-        for max_iters, share, best in ((27, 0.5, False), (20, 0.0, False)):
-            short = functools.partial(AdmmParams, max_iters=max_iters, escalations=1)
+        for max_iters, share, best in ((27, 0.5, True), (20, 0.0, False)):
+            short = functools.partial(AdmmParams, max_iters=max_iters)
             monkeypatch.setattr(cli, "AdmmParams", short)
             rc, out = run_cli(["minimize", str(p), "--restarts", "8", "--seed", "0"], capsys)
             assert rc == 0
@@ -263,9 +263,10 @@ class TestDispatch:
             ("eig", {"kind": "circulant", "order": 3.7, "dim": 2, "root": [1, 2, 3, 4]}),
             ("eig", {"kind": "circulant", "order": 3, "dim": 2.0, "root": [1, 2, 3, 4]}),
             ("eig", {"kind": "diag_root", "order": 4.0, "c": [1, 2]}),
+            ("psd", {"kind": "dense", "order": 2, "dim": 2, "entries": [1.0, 2.0, 3.0, 1.0]}),
         ],
         ids=["directed-string", "n-float", "vertex-float", "vertex-bool", "m-mismatch",
-             "order-float", "dim-float", "diag-order-float"],
+             "order-float", "dim-float", "diag-order-float", "dense-not-circulant"],
     )
     def test_field_types_not_coerced_exit2(self, kind, doc, tmp_path, capsys):
         p = tmp_path / "doc.json"

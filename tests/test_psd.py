@@ -538,7 +538,7 @@ class TestCheckPsdChain:
         # 63.05 iterations a restart (1468.2 when these ran at 16x scale)
         rng = np.random.default_rng(1)
         shifts, iterations = [], 0
-        params = AdmmParams(seed=0, max_iters=1200, escalations=3)
+        params = AdmmParams(seed=0)
         while len(shifts) < 10:
             a = circulant_from_root(rng.uniform(-1.0, 1.0, size=(3, 3, 3)))
             if check_psd(a, mode="certificates_only").decided:
