@@ -5,10 +5,11 @@ elsewhere.  Such tensors have a fully explicit eigenstructure (that of an
 n x n circulant matrix built from c), which ``tests/oracles.py`` states as
 the reference the tests check spectra and forms against.  Their
 semi-definiteness needs no decision of its own: the necessary checks and
-diagonal dominance in ``psd.check_psd`` decide it exactly wherever the
-paper's theorem does, except in the block-alternating regimes (a
-k-alternative tail, k >= 2), where dominance is also necessary and the
-chain's diagonal-root stage refutes with the block sign vector.
+diagonal dominance, stages of the chain whose order ``psd._STAGES`` holds,
+decide it exactly wherever the paper's theorem does, except in the
+block-alternating regimes (a k-alternative tail, k >= 2), where dominance
+is also necessary and the chain's diagonal-root stage refutes with the
+block sign vector.
 
 A doubly circulant tensor has a circulant root, so all of its row tensors
 coincide and its form factors through sum(x).  Its exact route works on the

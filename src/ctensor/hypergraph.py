@@ -123,6 +123,8 @@ def signless_laplacian(g: Hypergraph) -> CirculantTensor:
 
 def hypergraph_from_dict(doc: dict) -> Hypergraph:
     """The closure of ``{"n", "generators"[, "directed"][, "m"]}``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a hypergraph document is a JSON object, got {type(doc).__name__}")
     directed = doc.get("directed", False)
     if not isinstance(directed, bool):
         raise ValueError(f"directed must be true or false, got {directed!r}")

@@ -24,22 +24,30 @@ def _floats(values) -> np.ndarray:
     return np.array([float(v) for v in values], dtype=float)
 
 
+def _shaped(values, n: int, k: int, what: str) -> np.ndarray:
+    """``values`` as floats in k modes of length n.  n ** k is at least
+    2 ** (k * (bitlen(n) - 1)), so a declared shape far beyond the entry
+    count is rejected before its power is computed."""
+    arr = _floats(values)
+    if n < 2:
+        raise ValueError("tensor dimension must be >= 2")
+    if k * (n.bit_length() - 1) > arr.size.bit_length():
+        raise ValueError(f"{what} needs {n}**{k} entries, got {arr.size}")
+    if arr.size != n**k:
+        raise ValueError(f"{what} needs {n ** k} entries, got {arr.size}")
+    return arr.reshape((n,) * k)
+
+
 def tensor_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a tensor document is a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "circulant":
         m, n = _integer(doc["order"], "order"), _integer(doc["dim"], "dim")
-        root = _floats(doc["root"])
-        if root.size != n ** (m - 1):
-            raise ValueError(
-                f"root needs {n ** (m - 1)} entries, got {root.size}"
-            )
-        return circulant_from_root(root.reshape((n,) * (m - 1)))
+        return circulant_from_root(_shaped(doc["root"], n, m - 1, "root"))
     if kind == "dense":
         m, n = _integer(doc["order"], "order"), _integer(doc["dim"], "dim")
-        entries = _floats(doc["entries"])
-        if entries.size != n**m:
-            raise ValueError(f"dense tensor needs {n ** m} entries, got {entries.size}")
-        return DenseTensor(entries.reshape((n,) * m))
+        return DenseTensor(_shaped(doc["entries"], n, m, "dense tensor"))
     if kind == "diag_root":
         return DiagRootSpec(_integer(doc["order"], "order"), _floats(doc["c"]))
     raise ValueError(f"unknown tensor kind {kind!r}")

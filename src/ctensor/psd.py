@@ -1,11 +1,10 @@
 """Positive semi-definiteness decision chain for even-order circulant tensors.
 
-Order of attack: cheap necessary sign checks, the sufficiency certificates
-(diagonal dominance, B0/B class), the structural routes (diagonal root,
-doubly circulant), and finally, when allowed, a multi-start sphere
-minimization.  Every route is sound, so the order picks the route that
-reports, never the decision; numeric evidence can refute (with a verified
-witness) but never certifies semi-definiteness.
+The chain is data: ``_STAGES`` holds its stages in order, each a function
+``(a, trail) -> PsdVerdict | None``, and ``check_psd`` runs them until one
+decides.  Every route is sound, so the order picks the route that reports,
+never the decision; numeric evidence can refute (with a verified witness)
+but never certifies semi-definiteness.
 
 The sign-structured associated tensors (non-positive, negatively
 alternative) need no stage of their own.  A non-positive associated tensor
@@ -19,6 +18,7 @@ this against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +44,6 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    passed: bool
-
-
 def _require_even_circulant(a) -> None:
     if not isinstance(a, CirculantTensor):
         raise TypeError("semi-definiteness chain expects a circulant tensor")
@@ -61,33 +54,25 @@ def _require_even_circulant(a) -> None:
 def necessary_checks(a: CirculantTensor):
     """The sign conditions every even-order PSD circulant tensor satisfies.
 
-    Returns (checks, verdict): the list of individual results and, when one
-    fails with a verifiable witness, the refuting verdict (witness 1_1, 1,
-    or the alternating vector respectively).  The eigenvalues are exactly
-    rounded sums, whose signs are exact: no nonzero float sum rounds to 0.
+    Returns (checks, verdict): a (name, value, passed) triple per condition
+    and, when one fails with a verifiable witness, the refuting verdict
+    (witness 1_1, 1, or the alternating vector respectively).  The
+    eigenvalues are exactly rounded sums, whose signs are exact: no nonzero
+    float sum rounds to 0.
     """
     _require_even_circulant(a)
     n = a.dim
-    checks = []
-    verdict = None
-
-    c0 = a.diagonal_entry
-    checks.append(CheckResult("diagonal_entry", c0, c0 >= 0))
-    if c0 < 0 and verdict is None:
-        verdict = not_psd_verdict(a, np.eye(1, n)[0], None, {"failed": "diagonal_entry"})
-
-    lam0 = first_native(a)
-    checks.append(CheckResult("first_native", lam0, lam0 >= 0))
-    if lam0 < 0 and verdict is None:
-        verdict = not_psd_verdict(a, np.ones(n), None, {"failed": "first_native"})
-
+    conditions = [
+        ("diagonal_entry", a.diagonal_entry, lambda: np.eye(1, n)[0]),
+        ("first_native", first_native(a), lambda: np.ones(n)),
+    ]
     if n % 2 == 0:
-        lam_half = alternative_native(a)
-        checks.append(CheckResult("alternative_native", lam_half, lam_half >= 0))
-        if lam_half < 0 and verdict is None:
-            verdict = not_psd_verdict(
-                a, hat_one_k(n, 1), None, {"failed": "alternative_native"}
-            )
+        conditions.append(("alternative_native", alternative_native(a), lambda: hat_one_k(n, 1)))
+    checks, verdict = [], None
+    for name, value, witness in conditions:
+        checks.append((name, value, value >= 0))
+        if value < 0 and verdict is None:
+            verdict = not_psd_verdict(a, witness(), None, {"failed": name})
     return checks, verdict
 
 
@@ -119,6 +104,24 @@ def sufficient_b_class(a: CirculantTensor) -> PsdVerdict | None:
     return None
 
 
+# The stages call the public routes by module-global name at call time, so a
+# wrapper installed on this module's attributes sees every call.
+
+
+def _necessary(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
+    checks, verdict = necessary_checks(a)
+    trail["necessary"] = checks
+    return verdict
+
+
+def _diag_dominance(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
+    return sufficient_diag_dominance(a)
+
+
+def _b_class(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
+    return sufficient_b_class(a)
+
+
 def _diag_root_refutation(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
     """Refute a diagonal root c whose tail is k-alternative (k >= 2, 2k | n):
     once dominance has failed, the form at the block sign vector is
@@ -129,10 +132,34 @@ def _diag_root_refutation(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
     n = a.dim
     for k in range(2, n // 2 + 1):
         if n % (2 * k) == 0 and is_k_alternative(c[1:], k):
-            details = {"route": f"block-alternating-k{k}", **trail}
+            details = {"route": f"block-alternating-k{k}"}
             return not_psd_verdict(a, hat_one_k(n, k) / math.sqrt(n), DIAG_ROOT, details)
     trail["diag_root"] = "undecided"
     return None
+
+
+def _doubly(a: CirculantTensor, trail: dict) -> PsdVerdict | None:
+    if a.order < 4 or not is_doubly_circulant(a):
+        return None
+    v = doubly_psd(a)
+    if v.decided:
+        return v
+    trail["doubly_circulant"] = v.details.get("route", "undecided")
+    return None
+
+
+def _numeric(a: CirculantTensor, trail: dict, restarts: int, seed: int) -> PsdVerdict:
+    """``multi_start`` with the default schedule: a refutation where the best
+    point verifies, else its minimum is evidence only (inconclusive)."""
+    best = multi_start(a, AdmmParams(seed=seed), restarts).best
+    trail["numeric_best"] = best.value
+    trail["numeric_converged"] = best.converged
+    v = not_psd_verdict(a, best.point, NUMERIC, {}) if best.value < 0 else None
+    return PsdVerdict(INCONCLUSIVE, NUMERIC) if v is None else v
+
+
+# the decision chain in order; certificates_only stops before the last stage
+_STAGES = (_necessary, _diag_dominance, _b_class, _diag_root_refutation, _doubly, _numeric)
 
 
 def check_psd(
@@ -141,54 +168,22 @@ def check_psd(
     restarts: int = 24,
     seed: int = 0,
 ) -> PsdVerdict:
-    """Run the full decision chain; the first firing route wins.
-
-    The order: necessary checks, diagonal dominance, B0/B class, the
-    diagonal-root refutation, ``doubly_psd`` and, unless
-    ``certificates_only``, the numeric stage: ``multi_start`` with the
-    default ``AdmmParams`` schedule, as ``minimize`` runs.  That refutes when
-    the best value is negative and ``not_psd_verdict`` verifies the point;
-    otherwise its minimum is evidence only (inconclusive).
-    """
+    """Run ``_STAGES`` in order, the numeric stage only ``with_numeric``: the
+    first verdict wins, with the trail merged into its details.  If no stage
+    decides, the verdict is inconclusive."""
     if mode not in ("with_numeric", "certificates_only"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_even_circulant(a)
+    stages = _STAGES[:-1]
+    if mode == "with_numeric":
+        stages += (functools.partial(_numeric, restarts=restarts, seed=seed),)
     trail: dict = {}
-
-    checks, verdict = necessary_checks(a)
-    trail["necessary"] = [(c.name, c.value, c.passed) for c in checks]
-    if verdict is not None:
-        verdict.details.update(trail)
-        return verdict
-
-    for route in (sufficient_diag_dominance, sufficient_b_class):
-        v = route(a)
+    for stage in stages:
+        v = stage(a, trail)
         if v is not None:
             v.details.update(trail)
             return v
-
-    v = _diag_root_refutation(a, trail)
-    if v is not None:
-        return v
-
-    if a.order >= 4 and is_doubly_circulant(a):
-        v = doubly_psd(a)
-        if v.decision != INCONCLUSIVE:
-            v.details.update(trail)
-            return v
-        trail["doubly_circulant"] = v.details.get("route", "undecided")
-
-    if mode == "certificates_only":
-        return inconclusive(**trail)
-
-    best = multi_start(a, AdmmParams(seed=seed), restarts).best
-    trail["numeric_best"] = best.value
-    trail["numeric_converged"] = best.converged
-    if best.value < 0:
-        v = not_psd_verdict(a, best.point, NUMERIC, trail)
-        if v is not None:
-            return v
-    return PsdVerdict(INCONCLUSIVE, NUMERIC, None, trail)
+    return inconclusive(**trail)
 
 
 def _circle_points(num: int) -> np.ndarray:

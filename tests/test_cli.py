@@ -71,6 +71,26 @@ class TestTensorFormat:
         with pytest.raises(ValueError):
             tensor_from_dict({"kind": "sparse"})
 
+    @pytest.mark.parametrize("doc", [[1, 2, 3], 5, "circulant"], ids=["list", "number", "string"])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            tensor_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, field", [("circulant", "root"), ("dense", "entries")])
+    def test_huge_order_rejected_before_its_power(self, kind, field):
+        # 2 ** (10**30 - 1) cannot be stored: the declared shape is compared
+        # with the entry count by bit lengths first
+        doc = {"kind": kind, "order": 10**30, "dim": 2, field: [1.0, 2.0]}
+        with pytest.raises(ValueError, match=r"needs 2\*\*\d+ entries, got 2"):
+            tensor_from_dict(doc)
+
+    def test_unit_dimension_rejected_before_its_shape(self):
+        # one entry matches 1 ** (10**30 - 1): the dimension fails before a
+        # shape tuple of that length is built
+        doc = {"kind": "circulant", "order": 10**30, "dim": 1, "root": [1.0]}
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            tensor_from_dict(doc)
+
 
 class TestDispatch:
     def test_eig_values(self, example1_path, capsys):
@@ -222,6 +242,23 @@ class TestDispatch:
     def test_unknown_subcommand_exit2(self, capsys):
         rc = dispatch(["frobnicate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eig", "psd", "hypergraph"])
+    def test_non_object_document_exit2(self, command, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2, 3]")
+        rc = dispatch([command, str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("ctensor: ") and "JSON object" in err
+
+    def test_huge_order_exit2(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"kind": "circulant", "order": 10**30, "dim": 2, "root": [1.0]}))
+        rc = dispatch(["eig", str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("ctensor: root needs 2**") and err.count("\n") == 1
 
     def test_malformed_json_exit2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
